@@ -1,6 +1,7 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// Steiner subroutine (KMB vs Takahashi–Matsuyama vs exact) and the
-// k-stroll solver (exact DP vs cheapest-insertion vs color coding).
+// Ablation benchmarks for the subroutines this repository substitutes for
+// the paper's black boxes (README "Algorithms"): the Steiner subroutine
+// (KMB vs Takahashi–Matsuyama vs exact) and the k-stroll solver (exact DP
+// vs cheapest-insertion vs color coding).
 package sof
 
 import (

@@ -63,84 +63,52 @@ func startDomains(t testing.TB, n int, build func(i int) *topology.Network) []st
 // centralized solver costs. Three exchanges run over the same servers:
 // the one-shot batch call, the server-streamed fragment join (with
 // dominated-candidate pruning armed), and the streamed join with eager
-// per-source closure — all of which must agree bit for bit. The whole
-// matrix additionally runs with the bucket-queue and then the
-// delta-stepping SSSP core forced on through the deprecated global gates
-// (graph.BucketQueueMinNodes / graph.DeltaSteppingMinNodes pinned to 1 —
-// exercising the shim that remains for exactly this kind of
-// process-wide toggle), the fourth and fifth toggles of the equivalence
-// claim: both alternative queues' settle orders match the indexed
-// heap's exactly, so no cost moves.
+// per-source closure — all of which must agree bit for bit.
 func TestRPCEquivalenceMatrix(t *testing.T) {
-	savedBucket := graph.BucketQueueMinNodes
-	savedDelta := graph.DeltaSteppingMinNodes
-	t.Cleanup(func() {
-		graph.BucketQueueMinNodes = savedBucket
-		graph.DeltaSteppingMinNodes = savedDelta
-	})
-	centralBySeed := make(map[int64]float64)
-	for _, queue := range []string{"heap", "bucket", "delta"} {
-		switch queue {
-		case "heap":
-			graph.BucketQueueMinNodes = savedBucket
-			graph.DeltaSteppingMinNodes = savedDelta
-		case "bucket":
-			graph.BucketQueueMinNodes = 1
-			graph.DeltaSteppingMinNodes = -1
-		case "delta":
-			graph.BucketQueueMinNodes = savedBucket
-			graph.DeltaSteppingMinNodes = 1
+	for _, seed := range []int64{1, 7, 23, 42} {
+		network, req, opts := softLayerInstance(seed)
+		central, err := core.SOFDA(network.G, req, opts)
+		if err != nil {
+			t.Fatalf("seed %d: centralized: %v", seed, err)
 		}
-		for _, seed := range []int64{1, 7, 23, 42} {
-			network, req, opts := softLayerInstance(seed)
-			central, err := core.SOFDA(network.G, req, opts)
-			if err != nil {
-				t.Fatalf("seed %d: centralized: %v", seed, err)
-			}
-			if prev, ok := centralBySeed[seed]; ok && prev != central.TotalCost() {
-				t.Errorf("seed %d: centralized cost moved across SSSP queues (%s): %v vs %v",
-					seed, queue, prev, central.TotalCost())
-			}
-			centralBySeed[seed] = central.TotalCost()
-			for _, domains := range []int{1, 3, 5} {
-				addrs := startDomains(t, domains, func(int) *topology.Network { return buildSoftLayer(seed) })
-				tr := NewTransport(addrs)
-				for _, mode := range []struct {
-					name string
-					cfg  dist.Config
-				}{
-					{"batch", dist.Config{}},
-					{"stream", dist.Config{Streaming: true}},
-					{"stream-eager", dist.Config{Streaming: true, EagerClosure: true}},
-				} {
-					cfg := mode.cfg
-					cfg.Transport = tr
-					cfg.RetryBudget = 1
-					cluster := dist.NewClusterWith(network.G, domains, cfg)
-					f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
-					if err != nil {
-						cluster.Close()
-						tr.Close()
-						t.Fatalf("seed %d domains %d %s queue=%s: rpc distributed: %v", seed, domains, mode.name, queue, err)
-					}
-					if err := f.Validate(req.Sources, req.Dests); err != nil {
-						t.Errorf("seed %d domains %d %s queue=%s: infeasible forest: %v", seed, domains, mode.name, queue, err)
-					}
-					if f.TotalCost() != central.TotalCost() {
-						t.Errorf("seed %d domains %d %s queue=%s: rpc cost %v != centralized %v",
-							seed, domains, mode.name, queue, f.TotalCost(), central.TotalCost())
-					}
-					st := cluster.StreamStats()
-					if mode.name != "batch" && st.StreamedResults == 0 {
-						t.Errorf("seed %d domains %d %s: streamed run moved no fragments (%+v)", seed, domains, mode.name, st)
-					}
-					if mode.name == "stream-eager" && st.EarlyClosures == 0 {
-						t.Errorf("seed %d domains %d: eager run closed nothing early (%+v)", seed, domains, st)
-					}
+		for _, domains := range []int{1, 3, 5} {
+			addrs := startDomains(t, domains, func(int) *topology.Network { return buildSoftLayer(seed) })
+			tr := NewTransport(addrs)
+			for _, mode := range []struct {
+				name string
+				cfg  dist.Config
+			}{
+				{"batch", dist.Config{}},
+				{"stream", dist.Config{Streaming: true}},
+				{"stream-eager", dist.Config{Streaming: true, EagerClosure: true}},
+			} {
+				cfg := mode.cfg
+				cfg.Transport = tr
+				cfg.RetryBudget = 1
+				cluster := dist.NewClusterWith(network.G, domains, cfg)
+				f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
+				if err != nil {
 					cluster.Close()
+					tr.Close()
+					t.Fatalf("seed %d domains %d %s: rpc distributed: %v", seed, domains, mode.name, err)
 				}
-				tr.Close()
+				if err := f.Validate(req.Sources, req.Dests); err != nil {
+					t.Errorf("seed %d domains %d %s: infeasible forest: %v", seed, domains, mode.name, err)
+				}
+				if f.TotalCost() != central.TotalCost() {
+					t.Errorf("seed %d domains %d %s: rpc cost %v != centralized %v",
+						seed, domains, mode.name, f.TotalCost(), central.TotalCost())
+				}
+				st := cluster.StreamStats()
+				if mode.name != "batch" && st.StreamedResults == 0 {
+					t.Errorf("seed %d domains %d %s: streamed run moved no fragments (%+v)", seed, domains, mode.name, st)
+				}
+				if mode.name == "stream-eager" && st.EarlyClosures == 0 {
+					t.Errorf("seed %d domains %d: eager run closed nothing early (%+v)", seed, domains, st)
+				}
+				cluster.Close()
 			}
+			tr.Close()
 		}
 	}
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"slices"
-	"sync"
 )
 
 // Delta-stepping SSSP (Meyer & Sanders): distances advance bucket by
@@ -14,13 +13,13 @@ import (
 // at drain time — so a relaxation is one compare plus an append, with no
 // decrease-key bookkeeping at all.
 //
-// The variant exists for large graphs (see Config.DeltaSteppingMinNodes):
-// the indexed heap pays O(log n) sift work per settle and the calendar
-// queue an exact-minimum scan per pop, while a bucket here is drained
-// wholesale. The arc partition is precomputed per cost epoch with the
-// edge costs inlined (deltaLayout), so the inner loop runs over three
-// contiguous arrays instead of chasing Edge records — on a 10k-node Inet
-// graph that locality, not the asymptotics, is most of the win.
+// The variant exists for large graphs (see deltaMinNodes): the indexed
+// heap pays O(log n) sift work per settle, while a bucket here is
+// drained wholesale. The arc partition is precomputed per cost epoch
+// with the edge costs inlined (deltaLayout), so the inner loop runs over
+// three contiguous arrays instead of chasing Edge records — on a
+// 10k-node Inet graph that locality, not the asymptotics, is most of
+// the win.
 //
 // Settled trees are bit-identical to the IndexedHeap Dijkstra. Distances
 // are exact by the standard delta-stepping argument (every node is
@@ -38,18 +37,15 @@ import (
 // is strictly smaller. Intermediate commits made from not-yet-final
 // distances are always overwritten later (a stale relaxation can never
 // tie a final distance: its value is strictly larger), so the fixpoint
-// tree equals the heap's regardless of the order in which workers'
-// candidates merge. Zero-cost arcs break the plain settle order (a node
-// can reach its final distance mid-plateau); those graphs — flagged at
-// partition build — get the exact settle-order replay of replayPlateaus
-// on top, off the zero-free hot path.
+// tree equals the heap's regardless of the order in which the bucket
+// drains. Zero-cost arcs break the plain settle order (a node can reach
+// its final distance mid-plateau); those graphs — flagged at partition
+// build — get the exact settle-order replay of replayPlateaus on top,
+// off the zero-free hot path.
 //
-// Large frontiers fan out across a bounded worker pool: workers scan
-// disjoint chunks of the frontier against a frozen distance array and
-// emit (target, value, parent) candidates into per-worker buffers pooled
-// in the Arena; the merge back into the shared arrays is single-threaded
-// and applies the same commit rule, which is commutative at the fixpoint
-// — so worker count and chunk boundaries cannot perturb the tree.
+// Relaxation runs on the calling goroutine: a worker fan-out over large
+// frontiers measured slower than one worker on 2 vCPUs and allocated
+// ~15x more per run.
 
 // deltaLayout is the per-cost-epoch arc partition: node u's light arcs
 // occupy lto/leid/lcost[lrow[u]:lrow[u+1]] and its heavy arcs the hrow
@@ -61,9 +57,9 @@ import (
 type deltaLayout struct {
 	epoch        uint64
 	nodes, edges int
-	// delta is the bucket width; light arcs have cost ≤ delta.
+	// delta is the bucket width; light arcs have cost ≤ delta. It is 0
+	// when the graph has no usable width, and pick then keeps the heap.
 	delta float64
-	maxC  float64
 	// hasZero records whether any kept arc has cost 0. Zero-cost arcs
 	// let a node reach its final distance only after its plateau starts
 	// settling, which twists the heap's tie order away from plain
@@ -80,8 +76,8 @@ type deltaLayout struct {
 }
 
 // deltaBucketCount is the fixed calendar size of the delta-stepping
-// run; like the bucket queue's calendar it is circular, and the width
-// floor in deltaWidth keeps the active key window under one lap.
+// run; the calendar is circular, and the width floor in deltaWidth keeps
+// the active key window under one lap.
 const deltaBucketCount = 1024
 
 // deltaWidth picks the bucket width for a graph with the given maximum
@@ -147,13 +143,14 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 		nodes: n,
 		edges: len(g.edges),
 		delta: deltaWidth(maxC, meanC),
-		maxC:  maxC,
 		lrow:  make([]int32, n+1),
 		hrow:  make([]int32, n+1),
 	}
 	if maxC <= 0 || math.IsInf(maxC, 1) {
-		// No usable width; callers fall back to the heap. Row arrays stay
-		// zeroed so the layout is still well-formed.
+		// No usable width (an infinite maxC would otherwise yield an
+		// infinite one); delta = 0 sends callers to the heap. Row arrays
+		// stay zeroed so the layout is still well-formed.
+		d.delta = 0
 		return d
 	}
 	// Count, then fill: two passes keep the arc arrays exactly sized and
@@ -207,22 +204,12 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 	return d
 }
 
-// deltaCand is one relaxation candidate emitted by a worker: reach v
-// through edge via parent with value nd, where pd was the parent's
-// distance when the candidate was computed (the tie-break key).
-type deltaCand struct {
-	nd, pd float64
-	v      int32
-	parent int32
-	via    int32
-}
-
 // deltaScratch is the delta-stepping half of an Arena: the circular
-// bucket calendar, the frontier/settled staging lists, generation-stamped
-// dedup marks, and the per-worker candidate buffers. Like the heap and
-// the bucket queue it self-restores: a run drains every bucket it
-// filled and the stamps are generation-keyed, so a pooled arena needs no
-// O(n) reset between runs (possibly on different graphs).
+// bucket calendar, the frontier/settled staging lists and
+// generation-stamped dedup marks. Like the heap it self-restores: a run
+// drains every bucket it filled and the stamps are generation-keyed, so
+// a pooled arena needs no O(n) reset between runs (possibly on different
+// graphs).
 type deltaScratch struct {
 	buckets  [deltaBucketCount][]int32
 	frontier []int32
@@ -236,7 +223,6 @@ type deltaScratch struct {
 	relaxedAt []float64
 	roundGen  []uint64
 	round     uint64
-	bufs      [][]deltaCand
 	// order/segEnds/pos serve replayPlateaus on graphs with zero-cost
 	// arcs: order concatenates the per-bucket settled lists (segEnds
 	// marking the bucket boundaries), pos receives each node's settle
@@ -263,37 +249,6 @@ func (ds *deltaScratch) ensure(n int) {
 	pos := make([]int32, n)
 	copy(pos, ds.pos)
 	ds.pos = pos
-}
-
-// deltaParallelMin is the frontier size below which a relaxation phase
-// stays on the calling goroutine: fanning a few dozen nodes across
-// workers costs more in synchronization than the scan itself. A
-// variable only so tests can drive the worker path on small graphs.
-var deltaParallelMin = 512
-
-// DeltaStepping computes shortest paths from src with the delta-stepping
-// variant regardless of the size gate, falling back to the heap only
-// when the graph has no usable bucket width (all-zero or infinite edge
-// costs). The returned tree is bit-identical to Dijkstra's; the variant
-// exists for tests and benchmarks that pin the algorithm, where ordinary
-// callers let the Config gate choose by graph size.
-func DeltaStepping(g *Graph, src NodeID) *ShortestPaths {
-	n := g.NumNodes()
-	sp := &ShortestPaths{
-		Source:     src,
-		Dist:       make([]float64, n),
-		Parent:     make([]NodeID, n),
-		ParentEdge: make([]EdgeID, n),
-	}
-	a := arenaPool.Get().(*Arena)
-	defer arenaPool.Put(a)
-	a.ensure(n)
-	if lay := g.deltaLayoutFor(); lay.delta > 0 {
-		dijkstraDelta(g, lay, a, sp)
-	} else {
-		dijkstraHeap(g, g.csr(), a, sp)
-	}
-	return sp
 }
 
 // deltaRun bundles the per-run state the relaxation loops share. The
@@ -324,12 +279,12 @@ func (r *deltaRun) tieBreak(pd float64, v, par, via int32) {
 	}
 }
 
-// relaxSerial scans the arcs [row[v]:row[v+1]] of every node in list
+// relax scans the arcs [row[v]:row[v+1]] of every node in list
 // against live distances, committing improvements in place: a strict
 // improvement takes distance+parent and queues the target; an exact tie
 // goes through tieBreak. Relaxing nodes always hold a finite distance,
 // so nd is finite throughout. Returns the number of queue pushes.
-func (r *deltaRun) relaxSerial(list []int32, row, to, eid []int32, cost []float64) int {
+func (r *deltaRun) relax(list []int32, row, to, eid []int32, cost []float64) int {
 	dist := r.dist
 	pushes := 0
 	for _, v := range list {
@@ -346,71 +301,6 @@ func (r *deltaRun) relaxSerial(list []int32, row, to, eid []int32, cost []float6
 				pushes++
 			} else if nd == dw {
 				r.tieBreak(dv, w, v, eid[i])
-			}
-		}
-	}
-	return pushes
-}
-
-// relaxParallel fans the list across the worker pool: each worker emits
-// candidates against the frozen distance array, then the single-threaded
-// merge commits them under the same rules as relaxSerial. Stale
-// candidates (their parent improved mid-phase) are harmless: a stale
-// value can never tie a final distance, and strict improvements are
-// re-relaxed when the target is drained again.
-func (r *deltaRun) relaxParallel(workers int, list []int32, row, to, eid []int32, cost []float64) int {
-	if workers < 2 || len(list) < deltaParallelMin {
-		return r.relaxSerial(list, row, to, eid, cost)
-	}
-	ds := r.ds
-	w := workers
-	if w > len(list) {
-		w = len(list)
-	}
-	if len(ds.bufs) < w {
-		ds.bufs = append(ds.bufs, make([][]deltaCand, w-len(ds.bufs))...)
-	}
-	dist := r.dist
-	chunk := (len(list) + w - 1) / w
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		lo := k * chunk
-		if lo >= len(list) {
-			w = k
-			break
-		}
-		hi := lo + chunk
-		if hi > len(list) {
-			hi = len(list)
-		}
-		wg.Add(1)
-		go func(k int, part []int32) {
-			defer wg.Done()
-			buf := ds.bufs[k][:0]
-			for _, v := range part {
-				dv := dist[v]
-				for i := row[v]; i < row[v+1]; i++ {
-					if nd := dv + cost[i]; nd <= dist[to[i]] {
-						buf = append(buf, deltaCand{nd: nd, pd: dv, v: to[i], parent: v, via: eid[i]})
-					}
-				}
-			}
-			ds.bufs[k] = buf
-		}(k, list[lo:hi])
-	}
-	wg.Wait()
-	pushes := 0
-	for k := 0; k < w; k++ {
-		for _, c := range ds.bufs[k] {
-			if dw := dist[c.v]; c.nd < dw {
-				dist[c.v] = c.nd
-				r.parent[c.v] = NodeID(c.parent)
-				r.pedge[c.v] = EdgeID(c.via)
-				b := int(int64(c.nd*r.inv)) & (deltaBucketCount - 1)
-				ds.buckets[b] = append(ds.buckets[b], c.v)
-				pushes++
-			} else if c.nd == dw {
-				r.tieBreak(c.pd, c.v, c.parent, c.via)
 			}
 		}
 	}
@@ -437,7 +327,6 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 	ds.ensure(n)
 	a.gen++
 	gen := a.gen
-	workers := a.cfg.deltaWorkers()
 	r := &deltaRun{dist: sp.Dist, parent: sp.Parent, pedge: sp.ParentEdge, ds: ds, inv: 1 / lay.delta}
 	dist, inv := r.dist, r.inv
 
@@ -478,11 +367,11 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 				act = append(act, v)
 			}
 			ds.active = act
-			inFlight += r.relaxParallel(workers, act, lay.lrow, lay.lto, lay.leid, lay.lcost)
+			inFlight += r.relax(act, lay.lrow, lay.lto, lay.leid, lay.lcost)
 		}
 		// Heavy phase: every node settled in this bucket relaxes its
 		// heavy arcs once, at its now-final distance.
-		inFlight += r.relaxParallel(workers, ds.settled, lay.hrow, lay.hto, lay.heid, lay.hcost)
+		inFlight += r.relax(ds.settled, lay.hrow, lay.hto, lay.heid, lay.hcost)
 		if lay.hasZero {
 			ds.order = append(ds.order, ds.settled...)
 			ds.segEnds = append(ds.segEnds, int32(len(ds.order)))

@@ -1,16 +1,17 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// deltaArena pins the delta-stepping variant on, regardless of graph
-// size, on a private arena — the race-free replacement for mutating the
-// deprecated package gates.
-func deltaArena() *Arena {
-	return NewArenaWith(Config{DeltaSteppingMinNodes: 1, BucketQueueMinNodes: -1})
+// deltaDijkstra runs delta-stepping from src regardless of graph size
+// (still falling back to the heap when g has no usable bucket width),
+// reusing a's scratch like a batch caller would.
+func deltaDijkstra(g *Graph, src NodeID, a *Arena) *ShortestPaths {
+	return dijkstraBatchWith(g, []NodeID{src}, a, usableLayout(g))[0]
 }
 
 // TestDeltaSteppingBitIdentical is the core equivalence claim: on random
@@ -22,10 +23,10 @@ func deltaArena() *Arena {
 func TestDeltaSteppingBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		g := randomMultigraph(seed)
-		arena := deltaArena()
+		arena := NewArena()
 		for v := 0; v < g.NumNodes(); v++ {
-			want := Dijkstra(g, NodeID(v)) // heap path: graph far below gates
-			got := arena.Dijkstra(g, NodeID(v))
+			want := Dijkstra(g, NodeID(v)) // heap path: graph far below the gate
+			got := deltaDijkstra(g, NodeID(v), arena)
 			for u := 0; u < g.NumNodes(); u++ {
 				if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
 					t.Fatalf("seed %d src %d node %d: delta (%v,%d,%d) != heap (%v,%d,%d)",
@@ -34,21 +35,6 @@ func TestDeltaSteppingBitIdentical(t *testing.T) {
 				}
 			}
 			verifyTree(t, g, got)
-		}
-	}
-}
-
-// TestDeltaSteppingForcedMatchesHeap pins the exported forcing entry
-// point (used by benchmarks) to the heap tree as well.
-func TestDeltaSteppingForcedMatchesHeap(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		g := randomMultigraph(seed)
-		want := Dijkstra(g, 0)
-		got := DeltaStepping(g, 0)
-		for u := 0; u < g.NumNodes(); u++ {
-			if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
-				t.Fatalf("seed %d node %d: DeltaStepping differs from heap", seed, u)
-			}
 		}
 	}
 }
@@ -64,7 +50,7 @@ func TestDeltaSteppingBatch(t *testing.T) {
 			sources = append(sources, NodeID(rng.Intn(g.NumNodes())))
 		}
 		sources = append(sources, sources[0]) // duplicate on purpose
-		batch := DijkstraBatch(g, sources, deltaArena())
+		batch := dijkstraBatchWith(g, sources, nil, usableLayout(g))
 		if batch[len(batch)-1] != batch[0] {
 			t.Fatalf("seed %d: duplicate source not aliased", seed)
 		}
@@ -89,7 +75,7 @@ func TestDeltaSteppingBatch(t *testing.T) {
 // fail/mask/restore transition must yield a fresh partition.
 func TestDeltaSteppingBlockedElements(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	arena := deltaArena()
+	arena := NewArena()
 	for trial := 0; trial < 25; trial++ {
 		g := RandomConnected(RandomConfig{Nodes: 40, ExtraEdges: 60, MaxEdge: 5}, int64(trial))
 		for i := 0; i < 5; i++ {
@@ -103,7 +89,7 @@ func TestDeltaSteppingBlockedElements(t *testing.T) {
 		for trial2 := 0; trial2 < 3; trial2++ {
 			src := NodeID(rng.Intn(g.NumNodes()))
 			want := Dijkstra(g, src)
-			got := arena.Dijkstra(g, src)
+			got := deltaDijkstra(g, src, arena)
 			for u := 0; u < g.NumNodes(); u++ {
 				if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
 					t.Fatalf("trial %d src %d node %d: delta (%v,%d,%d) != heap (%v,%d,%d) under blocks",
@@ -118,7 +104,7 @@ func TestDeltaSteppingBlockedElements(t *testing.T) {
 		g.UnmaskAll()
 		src := NodeID(rng.Intn(g.NumNodes()))
 		want := Dijkstra(g, src)
-		got := arena.Dijkstra(g, src)
+		got := deltaDijkstra(g, src, arena)
 		for u := 0; u < g.NumNodes(); u++ {
 			if got.Dist[u] != want.Dist[u] {
 				t.Fatalf("trial %d: stale partition after restore: Dist[%d] = %v, want %v",
@@ -132,9 +118,9 @@ func TestDeltaSteppingBlockedElements(t *testing.T) {
 // nothing, not even itself — same contract as the heap variant.
 func TestDeltaSteppingBlockedSource(t *testing.T) {
 	g := RandomConnected(RandomConfig{Nodes: 20, ExtraEdges: 20, MaxEdge: 5}, 3)
-	arena := deltaArena()
+	arena := NewArena()
 	g.FailNode(4)
-	sp := arena.Dijkstra(g, 4)
+	sp := deltaDijkstra(g, 4, arena)
 	for v := range sp.Dist {
 		if !math.IsInf(sp.Dist[v], 1) || sp.Parent[v] != None {
 			t.Fatalf("failed source: node %d reachable", v)
@@ -142,7 +128,7 @@ func TestDeltaSteppingBlockedSource(t *testing.T) {
 	}
 	g.RestoreNode(4)
 	g.MaskNode(4)
-	sp = arena.Dijkstra(g, 4)
+	sp = deltaDijkstra(g, 4, arena)
 	for v := range sp.Dist {
 		if !math.IsInf(sp.Dist[v], 1) {
 			t.Fatalf("masked source: node %d reachable", v)
@@ -151,9 +137,8 @@ func TestDeltaSteppingBlockedSource(t *testing.T) {
 }
 
 // TestDeltaSteppingZeroCostFallback: an all-zero-cost graph has no
-// usable bucket width; the gate must fall back to the heap instead of
-// dividing by zero, and results must stay correct — for the gated path
-// and the forcing entry point alike.
+// usable bucket width; a delta run must fall back to the heap instead of
+// dividing by zero, and results must stay correct.
 func TestDeltaSteppingZeroCostFallback(t *testing.T) {
 	g := New(5, 6)
 	for i := 0; i < 5; i++ {
@@ -162,14 +147,10 @@ func TestDeltaSteppingZeroCostFallback(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		g.MustAddEdge(NodeID(i-1), NodeID(i), 0)
 	}
-	for _, sp := range []*ShortestPaths{
-		deltaArena().Dijkstra(g, 2),
-		DeltaStepping(g, 2),
-	} {
-		for v := 0; v < 5; v++ {
-			if sp.Dist[v] != 0 {
-				t.Fatalf("Dist[%d] = %v, want 0", v, sp.Dist[v])
-			}
+	sp := deltaDijkstra(g, 2, NewArena())
+	for v := 0; v < 5; v++ {
+		if sp.Dist[v] != 0 {
+			t.Fatalf("Dist[%d] = %v, want 0", v, sp.Dist[v])
 		}
 	}
 }
@@ -179,11 +160,11 @@ func TestDeltaSteppingZeroCostFallback(t *testing.T) {
 // and partition all change between runs), catching stale scratch leaking
 // across runs — the reuse pattern of pooled arenas and batch callers.
 func TestDeltaSteppingArenaReuseAcrossGraphs(t *testing.T) {
-	arena := deltaArena()
+	arena := NewArena()
 	for round := 0; round < 3; round++ {
 		for _, seed := range []int64{3, 11, 5, 23, 2, 31, 4} {
 			g := randomMultigraph(seed)
-			got := arena.Dijkstra(g, 0)
+			got := deltaDijkstra(g, 0, arena)
 			want := BellmanFord(g, 0)
 			for v := 0; v < g.NumNodes(); v++ {
 				if got.Dist[v] != want.Dist[v] {
@@ -192,34 +173,6 @@ func TestDeltaSteppingArenaReuseAcrossGraphs(t *testing.T) {
 				}
 			}
 			verifyTree(t, g, got)
-		}
-	}
-}
-
-// TestDeltaSteppingWorkersBitIdentical forces the worker fan-out on
-// (threshold lowered so even small frontiers dispatch) across several
-// worker counts and demands the heap tree bit-for-bit: worker count and
-// chunk boundaries must never perturb results. Not parallel: it adjusts
-// the package-private dispatch threshold.
-func TestDeltaSteppingWorkersBitIdentical(t *testing.T) {
-	oldMin := deltaParallelMin
-	deltaParallelMin = 1
-	defer func() { deltaParallelMin = oldMin }()
-	g := RandomConnected(RandomConfig{Nodes: 600, ExtraEdges: 1800, VMFraction: 0.2, MaxEdge: 10, MaxSetup: 5}, 9)
-	want := Dijkstra(g, 0)
-	for _, workers := range []int{1, 2, 3, 8} {
-		arena := NewArenaWith(Config{
-			DeltaSteppingMinNodes: 1,
-			BucketQueueMinNodes:   -1,
-			DeltaSteppingWorkers:  workers,
-		})
-		got := arena.Dijkstra(g, 0)
-		for u := 0; u < g.NumNodes(); u++ {
-			if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
-				t.Fatalf("workers=%d node %d: delta (%v,%d,%d) != heap (%v,%d,%d)",
-					workers, u, got.Dist[u], got.Parent[u], got.ParentEdge[u],
-					want.Dist[u], want.Parent[u], want.ParentEdge[u])
-			}
 		}
 	}
 }
@@ -253,39 +206,68 @@ func TestDeltaLayoutEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestConfigGateResolution pins the per-arena gate semantics: zero
-// defers to the package defaults, positive overrides, negative disables
-// — exercised through pick, the single decision point every entry path
-// shares.
-func TestConfigGateResolution(t *testing.T) {
-	g := randomMultigraph(5) // 8–48 nodes, positive finite costs
-	n := g.NumNodes()
+// TestPickSizeGate pins the one variant decision: delta-stepping from
+// deltaMinNodes nodes up, the heap below, and the heap on any graph
+// without a usable bucket width — all-zero costs, or a +Inf cost, which
+// would otherwise make the width infinite.
+func TestPickSizeGate(t *testing.T) {
+	sized := func(n int) *Graph { return RandomConnected(RandomConfig{Nodes: n, MaxEdge: 5}, 1) }
+	zero := sized(deltaMinNodes)
+	for e := 0; e < zero.NumEdges(); e++ {
+		zero.SetEdgeCost(EdgeID(e), 0)
+	}
+	inf := sized(deltaMinNodes)
+	inf.SetEdgeCost(7, math.Inf(1))
 	cases := []struct {
-		name string
-		cfg  Config
-		want ssspVariant
+		name  string
+		g     *Graph
+		delta bool
 	}{
-		{"defaults-small-graph", Config{}, variantHeap},
-		{"delta-forced", Config{DeltaSteppingMinNodes: 1}, variantDelta},
-		{"bucket-forced", Config{BucketQueueMinNodes: 1, DeltaSteppingMinNodes: -1}, variantBucket},
-		{"delta-wins-past-both", Config{DeltaSteppingMinNodes: 1, BucketQueueMinNodes: 1}, variantDelta},
-		{"both-disabled", Config{DeltaSteppingMinNodes: -1, BucketQueueMinNodes: -1}, variantHeap},
-		{"threshold-above-n", Config{DeltaSteppingMinNodes: n + 1, BucketQueueMinNodes: n + 1}, variantHeap},
+		{"below-gate", sized(deltaMinNodes - 1), false},
+		{"at-gate", sized(deltaMinNodes), true},
+		{"all-zero-costs", zero, false},
+		{"inf-cost", inf, false},
 	}
 	for _, tc := range cases {
-		a := NewArenaWith(tc.cfg)
-		if got, _, _ := a.pick(g, n); got != tc.want {
-			t.Errorf("%s: pick = %d, want %d", tc.name, got, tc.want)
+		if got := pick(tc.g) != nil; got != tc.delta {
+			t.Errorf("%s: pick chose delta = %v, want %v", tc.name, got, tc.delta)
 		}
 	}
-	// Worker resolution: 0 = GOMAXPROCS (≥1), negative = serial.
-	if w := (Config{DeltaSteppingWorkers: -1}).deltaWorkers(); w != 1 {
-		t.Errorf("negative workers resolve to %d, want 1", w)
-	}
-	if w := (Config{DeltaSteppingWorkers: 7}).deltaWorkers(); w != 7 {
-		t.Errorf("explicit workers resolve to %d, want 7", w)
-	}
-	if w := (Config{}).deltaWorkers(); w < 1 {
-		t.Errorf("default workers resolve to %d, want ≥1", w)
+}
+
+// BenchmarkDeltaStepping races the two SSSP variants on the same random
+// connected graphs (a spanning tree plus as many chords, uniform costs):
+// the indexed heap, and delta-stepping forced regardless of graph size.
+// Each op runs one batch of 16 distinct sources, so a -benchtime 1x CI
+// pass still measures a stable multi-run sample; ms/run is the
+// per-source wall clock. The CI gate requires delta at no more than
+// 1/1.7 of the heap's ms/run on the 10k-node graph — a ratio within one
+// run, so runner speed cancels out.
+func BenchmarkDeltaStepping(b *testing.B) {
+	for _, nodes := range []int{1000, 10000} {
+		g := RandomConnected(RandomConfig{Nodes: nodes, ExtraEdges: nodes, MaxEdge: 10}, 1)
+		rng := rand.New(rand.NewSource(7))
+		srcs := make([]NodeID, 16)
+		for i, p := range rng.Perm(nodes)[:len(srcs)] {
+			srcs[i] = NodeID(p)
+		}
+		for _, v := range []struct {
+			name string
+			lay  *deltaLayout
+		}{
+			{"heap", nil},
+			{"delta", usableLayout(g)},
+		} {
+			b.Run(fmt.Sprintf("V%d/%s", nodes, v.name), func(b *testing.B) {
+				b.ReportAllocs()
+				a := NewArena()
+				dijkstraBatchWith(g, srcs[:1], a, v.lay) // warm the CSR and the arena
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dijkstraBatchWith(g, srcs, a, v.lay)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(srcs))/1e6, "ms/run")
+			})
+		}
 	}
 }

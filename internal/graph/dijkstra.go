@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"runtime"
 	"sync"
 )
 
@@ -58,87 +57,29 @@ func (sp *ShortestPaths) EdgesTo(t NodeID) []EdgeID {
 	return rev
 }
 
-// Config selects the SSSP variant (and its resources) for runs through
-// one arena. Every field follows the same convention: zero means "use
-// the package default", a positive value overrides it, and a negative
-// value disables the variant outright. Configs travel with an Arena
-// (NewArenaWith), so concurrent tests and batch callers pin variants
-// without mutating process-wide state.
-type Config struct {
-	// BucketQueueMinNodes gates the calendar/bucket queue by graph size:
-	// runs over graphs with at least this many nodes use it (when the
-	// maximum edge cost admits a bucket width). 0 means the package
-	// default (BucketQueueMinNodes); negative disables the queue.
-	BucketQueueMinNodes int
-	// DeltaSteppingMinNodes gates the delta-stepping variant the same
-	// way, and is checked first: past both gates, delta-stepping wins.
-	// 0 means the package default (DeltaSteppingMinNodes); negative
-	// disables the variant.
-	DeltaSteppingMinNodes int
-	// DeltaSteppingWorkers bounds the delta-stepping relaxation pool:
-	// 0 means GOMAXPROCS, 1 or negative keeps every phase on the calling
-	// goroutine, larger values cap the fan-out. Worker count never
-	// affects results (see delta.go), only wall-clock.
-	DeltaSteppingWorkers int
-}
-
-// deltaWorkers resolves the worker bound for one delta-stepping run.
-func (c Config) deltaWorkers() int {
-	switch {
-	case c.DeltaSteppingWorkers > 0:
-		return c.DeltaSteppingWorkers
-	case c.DeltaSteppingWorkers < 0:
-		return 1
-	default:
-		return runtime.GOMAXPROCS(0)
-	}
-}
-
-// resolveGate maps a Config gate field to an effective node threshold:
-// 0 defers to the package default, negative disables (a threshold no
-// graph reaches).
-func resolveGate(v, def int) int {
-	switch {
-	case v > 0:
-		return v
-	case v < 0:
-		return math.MaxInt
-	default:
-		return def
-	}
-}
-
 // Arena is the reusable scratch state of the SSSP core: the indexed heap
-// (whose position index self-restores on drain), the bucket queue and
-// delta-stepping scratch for large graphs, and a generation-stamped
-// settled marker, so one arena is ready for the next run without any
-// O(n) reset. Batch callers that fan many runs out (the chain oracle's
-// tree warming, KMB's closure phase) hold one Arena across the whole
-// batch instead of a pool round-trip per source. The result arrays are
-// NOT part of the arena — callers (the chain oracle in particular)
-// retain ShortestPaths indefinitely.
+// (whose position index self-restores on drain), the delta-stepping
+// scratch for large graphs, and a generation-stamped settled marker, so
+// one arena is ready for the next run without any O(n) reset. Batch
+// callers that fan many runs out (the chain oracle's tree warming, KMB's
+// closure phase) hold one Arena across the whole batch instead of a pool
+// round-trip per source. The result arrays are NOT part of the arena —
+// callers (the chain oracle in particular) retain ShortestPaths
+// indefinitely.
 //
 // An Arena is not safe for concurrent use; concurrent runs take separate
 // arenas (or pass nil and share the pool).
 type Arena struct {
 	h    IndexedHeap
-	bq   bucketQueue
 	done []uint64
 	gen  uint64
-	cfg  Config
 	ds   deltaScratch
 }
 
-// NewArena returns an empty arena using the package-default Config.
-// Passing nil to DijkstraBatch borrows one from an internal pool instead,
-// so an explicit arena is only worth holding across several batches.
+// NewArena returns an empty arena. Passing nil to DijkstraBatch borrows
+// one from an internal pool instead, so an explicit arena is only worth
+// holding across several batches.
 func NewArena() *Arena { return new(Arena) }
-
-// NewArenaWith returns an arena whose runs resolve variant gates and
-// worker bounds from cfg instead of the package defaults. This is the
-// race-free replacement for mutating the deprecated package globals:
-// each test or batch pins its variant on its own arena.
-func NewArenaWith(cfg Config) *Arena { return &Arena{cfg: cfg} }
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 
@@ -151,70 +92,41 @@ func (a *Arena) ensure(n int) {
 	}
 }
 
-// BucketQueueMinNodes is the package default for Config.
-// BucketQueueMinNodes: runs over graphs with at least this many nodes use
-// the calendar queue (when the maximum edge cost admits one), smaller
-// runs keep the indexed heap, whose constants win on small frontiers.
-// The queues pop in the bit-identical (key, id) order, so the threshold
-// tunes speed only — the computed trees cannot differ.
-//
-// Deprecated: mutating this global races with concurrent runs (including
-// parallel tests); pin the variant per run with NewArenaWith instead. The
-// variable remains as the default that zero Config fields resolve to.
-var BucketQueueMinNodes = 8192
+// deltaMinNodes is the graph size from which runs use delta-stepping:
+// below it the indexed heap's constants win, at and above it the
+// delta-stepping calendar drains whole buckets where the heap pays
+// O(log n) sift work per settle. Both settle bit-identical trees, so the
+// gate tunes speed only.
+const deltaMinNodes = 8192
 
-// DeltaSteppingMinNodes is the package default for Config.
-// DeltaSteppingMinNodes, gating the delta-stepping variant exactly like
-// BucketQueueMinNodes gates the calendar queue. Delta-stepping is checked
-// first, so on graphs past both gates it wins.
-//
-// Deprecated: like BucketQueueMinNodes, prefer NewArenaWith.
-var DeltaSteppingMinNodes = 8192
-
-// ssspVariant names the queue discipline one run will use.
-type ssspVariant uint8
-
-const (
-	variantHeap ssspVariant = iota
-	variantBucket
-	variantDelta
-)
-
-// pick selects the SSSP variant for runs over g with n nodes under a's
-// Config. Delta-stepping and the bucket queue both need a positive
-// finite maximum edge cost for their bucket widths (an all-zero-cost
-// graph has no usable width and falls back to the heap). The bucket
-// maxC is returned for variantBucket; the arc partition for
-// variantDelta.
-func (a *Arena) pick(g *Graph, n int) (ssspVariant, float64, *deltaLayout) {
-	if n >= resolveGate(a.cfg.DeltaSteppingMinNodes, DeltaSteppingMinNodes) {
-		if lay := g.deltaLayoutFor(); lay.delta > 0 {
-			return variantDelta, 0, lay
-		}
+// pick selects the SSSP variant for runs over g: the arc partition to run
+// delta-stepping on, or nil for the indexed heap. Delta-stepping needs
+// deltaMinNodes nodes and a usable bucket width; a graph whose edge costs
+// are all zero, or include +Inf, has none and keeps the heap.
+func pick(g *Graph) *deltaLayout {
+	if g.NumNodes() < deltaMinNodes {
+		return nil
 	}
-	if n >= resolveGate(a.cfg.BucketQueueMinNodes, BucketQueueMinNodes) {
-		if maxC := g.maxEdgeCost(); maxC > 0 && !math.IsInf(maxC, 1) {
-			return variantBucket, maxC, nil
-		}
+	return usableLayout(g)
+}
+
+// usableLayout returns g's current arc partition when it has a usable
+// bucket width, nil otherwise.
+func usableLayout(g *Graph) *deltaLayout {
+	if lay := g.deltaLayoutFor(); lay.delta > 0 {
+		return lay
 	}
-	return variantHeap, 0, nil
+	return nil
 }
 
 // Dijkstra computes shortest paths from src over edge connection costs.
 // The traversal runs on the graph's flat CSR adjacency with a pooled
 // arena, so a run allocates only its result arrays. Ties are settled
 // toward the smaller node id, making the returned tree (not just the
-// distances) deterministic — with every queue discipline (see Config).
+// distances) deterministic — with either variant pick selects.
 func Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 	a := arenaPool.Get().(*Arena)
 	defer arenaPool.Put(a)
-	return a.Dijkstra(g, src)
-}
-
-// Dijkstra is the per-arena form of the package-level Dijkstra: the run
-// resolves its variant gates and worker bounds from a's Config (see
-// NewArenaWith) and reuses a's scratch.
-func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 	n := g.NumNodes()
 	sp := &ShortestPaths{
 		Source:     src,
@@ -223,13 +135,9 @@ func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 		ParentEdge: make([]EdgeID, n),
 	}
 	a.ensure(n)
-	switch v, maxC, lay := a.pick(g, n); v {
-	case variantDelta:
+	if lay := pick(g); lay != nil {
 		dijkstraDelta(g, lay, a, sp)
-	case variantBucket:
-		a.bq.configure(n, maxC)
-		dijkstraBucket(g, g.csr(), a, sp)
-	default:
+	} else {
 		dijkstraHeap(g, g.csr(), a, sp)
 	}
 	return sp
@@ -242,6 +150,13 @@ func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 // duplicate sources share one tree (the same *ShortestPaths pointer). A
 // nil arena borrows one from the internal pool for the whole batch.
 func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
+	return dijkstraBatchWith(g, sources, a, pick(g))
+}
+
+// dijkstraBatchWith is DijkstraBatch with the variant fixed by the
+// caller: delta-stepping over lay, or the indexed heap when lay is nil.
+// Tests pass their own lay to drive either variant on any graph size.
+func dijkstraBatchWith(g *Graph, sources []NodeID, a *Arena, lay *deltaLayout) []*ShortestPaths {
 	if len(sources) == 0 {
 		return nil
 	}
@@ -252,10 +167,6 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 	n := g.NumNodes()
 	c := g.csr()
 	a.ensure(n)
-	variant, maxC, lay := a.pick(g, n)
-	if variant == variantBucket {
-		a.bq.configure(n, maxC)
-	}
 
 	out := make([]*ShortestPaths, len(sources))
 	firstIdx := make(map[NodeID]int, len(sources))
@@ -277,12 +188,9 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 		sp.Dist = dist[i*n : (i+1)*n : (i+1)*n]
 		sp.Parent = parent[i*n : (i+1)*n : (i+1)*n]
 		sp.ParentEdge = pedge[i*n : (i+1)*n : (i+1)*n]
-		switch variant {
-		case variantDelta:
+		if lay != nil {
 			dijkstraDelta(g, lay, a, sp)
-		case variantBucket:
-			dijkstraBucket(g, c, a, sp)
-		default:
+		} else {
 			dijkstraHeap(g, c, a, sp)
 		}
 	}
@@ -330,47 +238,6 @@ func dijkstraHeap(g *Graph, c *csrLayout, a *Arena, sp *ShortestPaths) {
 				sp.Parent[v] = NodeID(u)
 				sp.ParentEdge[v] = EdgeID(c.eid[i])
 				h.Update(v, nd)
-			}
-		}
-	}
-}
-
-// dijkstraBucket is dijkstraHeap with the calendar queue: the identical
-// relaxation loop over a queue that pops in the identical (key, id)
-// order, so its trees are bit-for-bit those of the heap variant. The
-// caller has already configured a.bq for this graph's width.
-func dijkstraBucket(g *Graph, c *csrLayout, a *Arena, sp *ShortestPaths) {
-	for i := range sp.Dist {
-		sp.Dist[i] = math.Inf(1)
-		sp.Parent[i] = None
-		sp.ParentEdge[i] = NoEdge
-	}
-	fs := g.block.blocked.Load()
-	if fs.NodeFailed(sp.Source) {
-		return
-	}
-	sp.Dist[sp.Source] = 0
-	a.gen++
-	gen, done := a.gen, a.done
-	q := &a.bq
-	q.seed(int32(sp.Source), 0)
-	for q.len() > 0 {
-		u, du := q.pop()
-		done[u] = gen
-		for i := c.row[u]; i < c.row[u+1]; i++ {
-			v := c.to[i]
-			if done[v] == gen {
-				continue
-			}
-			if fs != nil && (fs.EdgeFailed(EdgeID(c.eid[i])) || fs.NodeFailed(NodeID(v))) {
-				continue
-			}
-			nd := du + g.edges[c.eid[i]].Cost
-			if nd < sp.Dist[v] {
-				sp.Dist[v] = nd
-				sp.Parent[v] = NodeID(u)
-				sp.ParentEdge[v] = EdgeID(c.eid[i])
-				q.update(v, nd)
 			}
 		}
 	}

@@ -134,31 +134,37 @@ func TestFailCloneShares(t *testing.T) {
 	}
 }
 
-// TestFailDijkstraMatchesBellmanFord cross-checks the SSSP cores under
-// random failure patterns, with all three queue variants forced through
-// per-arena configs.
+// TestFailDijkstraMatchesBellmanFord cross-checks both SSSP variants,
+// each forced regardless of graph size, against Bellman-Ford under
+// random failure patterns — plus one graph carrying a +Inf link cost,
+// which the heap treats as absent and which must leave delta-stepping
+// without a usable width (falling back to the heap) rather than with an
+// infinite one.
 func TestFailDijkstraMatchesBellmanFord(t *testing.T) {
 	variants := []struct {
 		name string
-		cfg  Config
+		lay  func(*Graph) *deltaLayout
 	}{
-		{"heap", Config{BucketQueueMinNodes: -1, DeltaSteppingMinNodes: -1}},
-		{"bucket", Config{BucketQueueMinNodes: 1, DeltaSteppingMinNodes: -1}},
-		{"delta", Config{DeltaSteppingMinNodes: 1}},
+		{"heap", func(*Graph) *deltaLayout { return nil }},
+		{"delta", usableLayout},
 	}
 	for _, variant := range variants {
 		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 20; trial++ {
+		for trial := 0; trial <= 20; trial++ {
 			g := RandomConnected(RandomConfig{Nodes: 30, ExtraEdges: 40, MaxEdge: 5}, int64(trial))
-			for i := 0; i < 5; i++ {
-				g.FailEdge(EdgeID(rng.Intn(g.NumEdges())))
-			}
-			for i := 0; i < 2; i++ {
-				g.FailNode(NodeID(rng.Intn(g.NumNodes())))
+			if trial == 20 {
+				g.SetEdgeCost(EdgeID(rng.Intn(g.NumEdges())), math.Inf(1))
+			} else {
+				for i := 0; i < 5; i++ {
+					g.FailEdge(EdgeID(rng.Intn(g.NumEdges())))
+				}
+				for i := 0; i < 2; i++ {
+					g.FailNode(NodeID(rng.Intn(g.NumNodes())))
+				}
 			}
 			src := NodeID(rng.Intn(g.NumNodes()))
 			want := BellmanFord(g, src)
-			got := DijkstraBatch(g, []NodeID{src}, NewArenaWith(variant.cfg))[0]
+			got := dijkstraBatchWith(g, []NodeID{src}, nil, variant.lay(g))[0]
 			for v := range want.Dist {
 				if want.Dist[v] != got.Dist[v] && !(math.IsInf(want.Dist[v], 1) && math.IsInf(got.Dist[v], 1)) {
 					t.Fatalf("%s trial %d: dist[%d] = %v, want %v", variant.name, trial, v, got.Dist[v], want.Dist[v])

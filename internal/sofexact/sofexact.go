@@ -1,5 +1,6 @@
 // Package sofexact computes optimal service overlay forests for small
-// instances. It replaces the paper's CPLEX baseline (see DESIGN.md §3).
+// instances. It replaces the paper's CPLEX baseline, so the optimum
+// comes from a solver in this repository rather than a commercial one.
 //
 // The SOF problem is reduced to a rooted directed Steiner tree on a layered
 // graph: node (v, j) means "data at node v with the first j VNFs applied".

@@ -10,7 +10,7 @@ import (
 // TakahashiMatsuyama computes a Steiner tree with the shortest-path
 // heuristic: grow the tree from the first terminal, repeatedly attaching
 // the terminal closest to the current tree along its shortest path. Also a
-// 2-approximation; kept alongside KMB for ablation studies (DESIGN.md §6):
+// 2-approximation; kept alongside KMB for the ablation benchmarks:
 // it trades a little quality on dense instances for far fewer Dijkstra
 // runs on large sparse graphs.
 func TakahashiMatsuyama(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
