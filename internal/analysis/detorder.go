@@ -20,6 +20,9 @@ import (
 //     a closure called from the body) with no sort of that slice later in
 //     the function;
 //   - a send on a channel declared outside the loop;
+//   - a container/heap.Push onto a heap declared outside the loop (items
+//     of equal priority then pop in map order: a multi-source Dijkstra
+//     seeded this way settles ties differently on every run);
 //   - the range *key* assigned to a variable declared outside the loop
 //     (nondeterministic winner selection among ties).
 //
@@ -150,6 +153,12 @@ func checkMapRange(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, appendingClo
 						"call to %q inside map iteration appends to ordered state declared outside it; iterate sorted keys", id.Name)
 				}
 			}
+			if isPkgFunc(info, n, "container/heap", "Push") && len(n.Args) > 0 {
+				if id := rootIdent(n.Args[0]); id != nil && declaredOutside(objectOf(info, id), rs.Pos(), rs.End()) {
+					pass.Reportf(n.Pos(),
+						"heap.Push onto %q inside map iteration: equal-priority items pop in randomized map order; push from sorted keys", id.Name)
+				}
+			}
 		}
 		return true
 	})
@@ -189,6 +198,27 @@ func closureWritesOrderedState(pass *Pass, fl *ast.FuncLit) bool {
 		return !found
 	})
 	return found
+}
+
+// rootIdent returns the variable an expression such as q, &q, s.q or
+// q[i] is rooted at, nil when there is none.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.UnaryExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // isAppendCall reports whether e is a call of the append builtin.

@@ -3,7 +3,10 @@
 // collect-then-sort repair are not.
 package detorder
 
-import "sort"
+import (
+	"container/heap"
+	"sort"
+)
 
 func badAppend(m map[int]string) []string {
 	var out []string
@@ -80,4 +83,62 @@ func sliceRange(xs []int) []int {
 		out = append(out, x)
 	}
 	return out
+}
+
+type item struct {
+	node int
+	dist float64
+}
+
+type pq []item
+
+func (q pq) Len() int            { return len(q) }
+func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
+func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *pq) Push(x interface{}) { *q = append(*q, x.(item)) }
+func (q *pq) Pop() interface{} {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+// badHeapSeed is the multi-source Dijkstra seeding shape: every tree node
+// enters the heap at distance 0, so the pop order among them — and the
+// tie-breaks of the whole search — follows map order.
+func badHeapSeed(inTree map[int]bool) int {
+	q := &pq{}
+	for v := range inTree {
+		heap.Push(q, item{node: v}) // want "heap.Push onto .q. inside map iteration"
+	}
+	return heap.Pop(q).(item).node
+}
+
+// sortedHeapSeed is the repair: push from the sorted keys.
+func sortedHeapSeed(inTree map[int]bool) int {
+	var nodes []int
+	for v := range inTree {
+		nodes = append(nodes, v)
+	}
+	sort.Ints(nodes)
+	q := &pq{}
+	for _, v := range nodes {
+		heap.Push(q, item{node: v})
+	}
+	return heap.Pop(q).(item).node
+}
+
+// innerHeap pushes onto a heap that lives and dies within one iteration.
+func innerHeap(m map[int][]float64) float64 {
+	total := 0.0
+	for _, ds := range m {
+		q := &pq{}
+		for _, d := range ds {
+			heap.Push(q, item{dist: d})
+		}
+		if q.Len() > 0 {
+			total += heap.Pop(q).(item).dist
+		}
+	}
+	return total
 }

@@ -1,8 +1,12 @@
 package rpc
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
+
+	"sof/internal/dist"
 )
 
 // The codec fuzz targets pin the two wire-safety properties the leader
@@ -42,12 +46,13 @@ func FuzzCandidateCodec(f *testing.F) {
 }
 
 // FuzzCandidateFragmentCodec fuzzes the CandidateFragment wire codec —
-// the per-message frame of the streaming exchange. Seeds are real
-// fragments captured off a live AnswerStream run (a results-bearing one
-// and the Done trailer), so the corpus starts on the exact byte shapes
-// the framed-gob protocol moves.
+// the per-message frame of the streaming exchange. Seeds are the results
+// and the Done trailer of a live AnswerStream run, re-cut by
+// seedFragments, so the corpus starts on the exact byte shapes the
+// framed-gob protocol moves. Each is seeded whole and cut at half its
+// length.
 func FuzzCandidateFragmentCodec(f *testing.F) {
-	for _, frag := range captureFragments(f) {
+	for _, frag := range seedFragments(captureFragments(f)) {
 		data, err := EncodeFragment(frag)
 		if err != nil {
 			f.Fatalf("seed encode: %v", err)
@@ -73,6 +78,38 @@ func FuzzCandidateFragmentCodec(f *testing.F) {
 			t.Fatalf("fragment codec is not a fixed point:\n first %+v\nsecond %+v", got, got2)
 		}
 	})
+}
+
+// seedFragments re-cuts a captured exchange into a fixed shape: one
+// fragment holding every result, then one fragment per result in index
+// order, then the trailer. AnswerStream coalesces whatever is already
+// solved into one fragment, so the captured cut depends on timing; the
+// fixed shape keeps the seed corpus, and so the names of its seed
+// subtests, the same on every run, while still seeding a multi-result
+// frame whole and truncated.
+func seedFragments(frags []*dist.CandidateFragment) []*dist.CandidateFragment {
+	var results []dist.FragmentResult
+	for _, f := range frags {
+		results = append(results, f.Results...)
+	}
+	slices.SortFunc(results, func(a, b dist.FragmentResult) int { return cmp.Compare(a.Index, b.Index) })
+	head := frags[0]
+	frag := func(seq int, rs []dist.FragmentResult) *dist.CandidateFragment {
+		return &dist.CandidateFragment{
+			CostEpoch:   head.CostEpoch,
+			GraphDigest: head.GraphDigest,
+			SourceSetup: head.SourceSetup,
+			Seq:         seq,
+			Results:     rs,
+		}
+	}
+	out := []*dist.CandidateFragment{frag(0, results)}
+	for i, r := range results {
+		out = append(out, frag(i, []dist.FragmentResult{r}))
+	}
+	trailer := *frags[len(frags)-1]
+	trailer.Seq = len(results)
+	return append(out, &trailer)
 }
 
 // FuzzCandidateResponseCodec fuzzes the CandidateResponse wire codec.

@@ -31,7 +31,10 @@ type dwChoice struct {
 // sets (tests, small-instance optimality checks); it returns an error when
 // len(terminals) exceeds MaxExactTerminals or terminals are disconnected.
 func Exact(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
-	terminals = dedupeTerminals(terminals)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.reset(g)
+	terminals = sc.addTerminals(terminals)
 	switch len(terminals) {
 	case 0:
 		return &Tree{}, nil
@@ -80,14 +83,16 @@ func Exact(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 		return nil, fmt.Errorf("steiner: terminals disconnected: %w", graph.ErrDisconnected)
 	}
 
-	edgeSet := make(map[graph.EdgeID]bool)
 	var rec func(mask uint32, v graph.NodeID)
 	rec = func(mask uint32, v graph.NodeID) {
 		for {
 			c := ch[mask][v]
 			switch c.kind {
 			case choiceRelax:
-				edgeSet[c.edge] = true
+				e := g.Edge(c.edge)
+				sc.addEdge(c.edge)
+				sc.addNode(e.U)
+				sc.addNode(e.V)
 				v = c.pred
 			case choiceSplit:
 				rec(c.sub, v)
@@ -99,8 +104,7 @@ func Exact(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 	}
 	rec(full, root)
 
-	tree := treeFromEdges(g, edgeSet, terminals)
-	recost(g, tree)
+	tree := sc.collect(g)
 	if math.Abs(tree.Cost-dp[full][root]) > 1e-6 {
 		return nil, fmt.Errorf("steiner: reconstruction cost %v != dp value %v", tree.Cost, dp[full][root])
 	}
@@ -145,24 +149,6 @@ func relax(g *graph.Graph, dist []float64, ch []dwChoice) {
 			}
 		}
 	}
-}
-
-func treeFromEdges(g *graph.Graph, edgeSet map[graph.EdgeID]bool, terminals []graph.NodeID) *Tree {
-	nodeSet := make(map[graph.NodeID]bool)
-	for _, t := range terminals {
-		nodeSet[t] = true
-	}
-	tree := &Tree{}
-	for e := range edgeSet {
-		tree.Edges = append(tree.Edges, e)
-		nodeSet[g.Edge(e).U] = true
-		nodeSet[g.Edge(e).V] = true
-	}
-	for n := range nodeSet {
-		tree.Nodes = append(tree.Nodes, n)
-	}
-	normalize(tree)
-	return tree
 }
 
 type dwItem struct {

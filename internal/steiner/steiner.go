@@ -13,7 +13,7 @@ package steiner
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,21 +37,8 @@ type Tree struct {
 
 // Contains reports whether n is a vertex of the tree.
 func (t *Tree) Contains(n graph.NodeID) bool {
-	i := sort.Search(len(t.Nodes), func(i int) bool { return t.Nodes[i] >= n })
-	return i < len(t.Nodes) && t.Nodes[i] == n
-}
-
-// dedupeTerminals returns the unique terminals, preserving first-seen order.
-func dedupeTerminals(terminals []graph.NodeID) []graph.NodeID {
-	seen := make(map[graph.NodeID]bool, len(terminals))
-	out := make([]graph.NodeID, 0, len(terminals))
-	for _, t := range terminals {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
+	_, ok := slices.BinarySearch(t.Nodes, n)
+	return ok
 }
 
 // PathProvider supplies single-source shortest-path trees over the graph
@@ -93,7 +80,15 @@ func KMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 // shortest-path trees, at any parallelism: the closure MST breaks ties
 // deterministically and the expansion depends only on the trees.
 func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree, error) {
-	terminals = dedupeTerminals(terminals)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return kmb(g, terminals, opts, sc)
+}
+
+// kmb is KMBWith over a caller-held scratch.
+func kmb(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions, sc *scratch) (*Tree, error) {
+	sc.reset(g)
+	terminals = sc.addTerminals(terminals)
 	switch len(terminals) {
 	case 0:
 		return &Tree{}, nil
@@ -109,23 +104,25 @@ func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree,
 	}
 
 	// Prim's MST on the dense closure, selecting through the indexed heap
-	// (smallest-id tie-break matches the linear scan it replaced, so the
-	// chosen closure edges are unchanged — only the selection cost drops).
+	// (ties go to the smallest terminal index). Each closure edge is
+	// expanded into its shortest path as it is chosen; the expansion is a
+	// set, so its order does not reach the tree.
 	t := len(terminals)
-	settled := make([]bool, t)
-	minFrom := make([]int32, t)
+	settled := resize(sc.settled, t)
+	clear(settled)
+	minFrom := resize(sc.minFrom, t)
 	for i := range minFrom {
 		minFrom[i] = -1
 	}
-	h := graph.NewIndexedHeap(t)
+	sc.settled, sc.minFrom = settled, minFrom
+	h := &sc.heap
+	h.Grow(t)
 	h.Update(0, 0)
-	type closureEdge struct{ a, b int32 }
-	closureEdges := make([]closureEdge, 0, t-1)
 	for h.Len() > 0 {
 		best, _ := h.Pop()
 		settled[best] = true
-		if minFrom[best] >= 0 {
-			closureEdges = append(closureEdges, closureEdge{a: minFrom[best], b: best})
+		if a := minFrom[best]; a >= 0 {
+			sc.addPath(trees[a], terminals[best])
 		}
 		dist := trees[best].Dist
 		for i := int32(0); i < int32(t); i++ {
@@ -139,40 +136,8 @@ func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree,
 		}
 	}
 
-	// Expand closure edges into real paths, deduping edges.
-	edgeSet := make(map[graph.EdgeID]bool)
-	nodeSet := make(map[graph.NodeID]bool)
-	for _, tm := range terminals {
-		nodeSet[tm] = true
-	}
-	for _, ce := range closureEdges {
-		b := terminals[ce.b]
-		for _, e := range trees[ce.a].EdgesTo(b) {
-			edgeSet[e] = true
-		}
-		for _, n := range trees[ce.a].PathTo(b) {
-			nodeSet[n] = true
-		}
-	}
-
-	// MST of the expansion subgraph, then prune. The sets are collected
-	// into sorted slices first: Kruskal breaks equal-cost ties by edge
-	// order, so feeding it map order would let the runtime pick the tree.
-	subNodes := make([]graph.NodeID, 0, len(nodeSet))
-	for n := range nodeSet {
-		subNodes = append(subNodes, n)
-	}
-	sort.Slice(subNodes, func(i, j int) bool { return subNodes[i] < subNodes[j] })
-	subEdges := make([]graph.EdgeID, 0, len(edgeSet))
-	for e := range edgeSet {
-		subEdges = append(subEdges, e)
-	}
-	sort.Slice(subEdges, func(i, j int) bool { return subEdges[i] < subEdges[j] })
-	tree := mstOfSubgraph(g, subNodes, subEdges)
-	prune(g, tree, terminals)
-	normalize(tree)
-	recost(g, tree)
-	return tree, nil
+	// MST of the expansion subgraph, then prune.
+	return sc.span(g, t), nil
 }
 
 // closureTrees resolves the shortest-path tree of every terminal, through
@@ -244,119 +209,29 @@ func closureTrees(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) []
 	return trees
 }
 
-// mstOfSubgraph computes an MST over exactly the given nodes and candidate
-// edges (all candidate edges have both endpoints in nodes).
-func mstOfSubgraph(g *graph.Graph, nodes []graph.NodeID, candidates []graph.EdgeID) *Tree {
-	sort.Slice(candidates, func(i, j int) bool {
-		ci, cj := g.EdgeCost(candidates[i]), g.EdgeCost(candidates[j])
-		if ci != cj {
-			return ci < cj
-		}
-		return candidates[i] < candidates[j]
-	})
-	uf := graph.NewSparseUnionFind()
-	tree := &Tree{Nodes: nodes}
-	for _, id := range candidates {
-		e := g.Edge(id)
-		if uf.Union(int(e.U), int(e.V)) {
-			tree.Edges = append(tree.Edges, id)
-		}
-	}
-	return tree
-}
-
-// prune repeatedly removes non-terminal leaves from the tree in place.
-func prune(g *graph.Graph, tree *Tree, terminals []graph.NodeID) {
-	isTerminal := make(map[graph.NodeID]bool, len(terminals))
-	for _, t := range terminals {
-		isTerminal[t] = true
-	}
-	deg := make(map[graph.NodeID]int)
-	incident := make(map[graph.NodeID][]graph.EdgeID)
-	for _, id := range tree.Edges {
-		e := g.Edge(id)
-		deg[e.U]++
-		deg[e.V]++
-		incident[e.U] = append(incident[e.U], id)
-		incident[e.V] = append(incident[e.V], id)
-	}
-	removedEdge := make(map[graph.EdgeID]bool)
-	removedNode := make(map[graph.NodeID]bool)
-	var queue []graph.NodeID
-	for _, n := range tree.Nodes {
-		if !isTerminal[n] && deg[n] <= 1 {
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if removedNode[n] || isTerminal[n] || deg[n] > 1 {
-			continue
-		}
-		removedNode[n] = true
-		for _, id := range incident[n] {
-			if removedEdge[id] {
-				continue
-			}
-			removedEdge[id] = true
-			other := g.Edge(id).Other(n)
-			deg[other]--
-			deg[n]--
-			if !isTerminal[other] && deg[other] <= 1 {
-				queue = append(queue, other)
-			}
-		}
-	}
-	var keptEdges []graph.EdgeID
-	for _, id := range tree.Edges {
-		if !removedEdge[id] {
-			keptEdges = append(keptEdges, id)
-		}
-	}
-	var keptNodes []graph.NodeID
-	for _, n := range tree.Nodes {
-		if !removedNode[n] {
-			keptNodes = append(keptNodes, n)
-		}
-	}
-	tree.Edges = keptEdges
-	tree.Nodes = keptNodes
-}
-
-func normalize(t *Tree) {
-	sort.Slice(t.Nodes, func(i, j int) bool { return t.Nodes[i] < t.Nodes[j] })
-	sort.Slice(t.Edges, func(i, j int) bool { return t.Edges[i] < t.Edges[j] })
-}
-
-func recost(g *graph.Graph, t *Tree) {
-	t.Cost = 0
-	for _, e := range t.Edges {
-		t.Cost += g.EdgeCost(e)
-	}
-}
-
 // Verify checks that tree is a valid Steiner tree for terminals in g: it is
 // connected, acyclic, spans all terminals, and its recorded cost matches its
 // edges.
 func Verify(g *graph.Graph, tree *Tree, terminals []graph.NodeID) error {
-	terminals = dedupeTerminals(terminals)
 	if len(terminals) == 0 {
 		return nil
 	}
-	inTree := make(map[graph.NodeID]bool, len(tree.Nodes))
+	inTree := make([]bool, g.NumNodes())
 	for _, n := range tree.Nodes {
+		if !g.Valid(n) {
+			return fmt.Errorf("steiner: node %d not in the graph", n)
+		}
 		inTree[n] = true
 	}
 	for _, t := range terminals {
-		if !inTree[t] {
+		if !g.Valid(t) || !inTree[t] {
 			return fmt.Errorf("steiner: terminal %d not spanned", t)
 		}
 	}
 	if len(tree.Edges) != len(tree.Nodes)-1 {
 		return fmt.Errorf("steiner: %d edges for %d nodes (not a tree)", len(tree.Edges), len(tree.Nodes))
 	}
-	uf := graph.NewSparseUnionFind()
+	uf := graph.NewUnionFind(g.NumNodes())
 	var cost float64
 	for _, id := range tree.Edges {
 		e := g.Edge(id)

@@ -3,6 +3,7 @@ package steiner
 import (
 	"container/heap"
 	"math"
+	"slices"
 
 	"sof/internal/graph"
 )
@@ -14,27 +15,30 @@ import (
 // it trades a little quality on dense instances for far fewer Dijkstra
 // runs on large sparse graphs.
 func TakahashiMatsuyama(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
-	terminals = dedupeTerminals(terminals)
-	switch len(terminals) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.reset(g)
+	terminals = sc.addTerminals(terminals)
+	t := len(terminals)
+	switch t {
 	case 0:
 		return &Tree{}, nil
 	case 1:
 		return &Tree{Nodes: []graph.NodeID{terminals[0]}}, nil
 	}
-	inTree := make(map[graph.NodeID]bool)
-	edgeSet := make(map[graph.EdgeID]bool)
-	inTree[terminals[0]] = true
-	remaining := make(map[graph.NodeID]bool, len(terminals)-1)
-	for _, t := range terminals[1:] {
-		if !inTree[t] {
-			remaining[t] = true
-		}
-	}
+	// The tree's nodes are collected in sc (terminals at local indices
+	// below t, whether attached yet or not) and listed in treeNodes, which
+	// seeds each round's heap in ascending node order so equal-distance
+	// ties resolve the same way on every call.
+	joined := make([]bool, t)
+	joined[0] = true
+	left := t - 1
+	treeNodes := []graph.NodeID{terminals[0]}
 	n := g.NumNodes()
 	dist := make([]float64, n)
 	parent := make([]graph.NodeID, n)
 	parentEdge := make([]graph.EdgeID, n)
-	for len(remaining) > 0 {
+	for left > 0 {
 		// Multi-source Dijkstra from the whole current tree.
 		for i := range dist {
 			dist[i] = math.Inf(1)
@@ -45,7 +49,8 @@ func TakahashiMatsuyama(g *graph.Graph, terminals []graph.NodeID) (*Tree, error)
 		for i := range q.pos {
 			q.pos[i] = -1
 		}
-		for v := range inTree {
+		slices.Sort(treeNodes)
+		for _, v := range treeNodes {
 			dist[v] = 0
 			heap.Push(q, tmItem{node: v})
 		}
@@ -58,7 +63,7 @@ func TakahashiMatsuyama(g *graph.Graph, terminals []graph.NodeID) (*Tree, error)
 				continue
 			}
 			done[u] = true
-			if remaining[u] {
+			if l := sc.lookup(u); l >= 0 && int(l) < t && !joined[l] {
 				hit = u
 				break
 			}
@@ -83,18 +88,18 @@ func TakahashiMatsuyama(g *graph.Graph, terminals []graph.NodeID) (*Tree, error)
 		if hit == graph.None {
 			return nil, graph.ErrDisconnected
 		}
+		// The path's nodes below its tree root are all new to the tree
+		// (tree nodes are zero-distance sources); terminals on it join.
 		for v := hit; parent[v] != graph.None; v = parent[v] {
-			edgeSet[parentEdge[v]] = true
-			inTree[v] = true
+			sc.addEdge(parentEdge[v])
+			if l := sc.addNode(v); int(l) < t && !joined[l] {
+				joined[l] = true
+				left--
+			}
+			treeNodes = append(treeNodes, v)
 		}
-		inTree[hit] = true
-		delete(remaining, hit)
 	}
-	tree := treeFromEdges(g, edgeSet, terminals)
-	prune(g, tree, terminals)
-	normalize(tree)
-	recost(g, tree)
-	return tree, nil
+	return sc.span(g, t), nil
 }
 
 type tmItem struct {

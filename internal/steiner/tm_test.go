@@ -3,6 +3,7 @@ package steiner
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sof/internal/graph"
@@ -68,5 +69,30 @@ func TestTMDisconnected(t *testing.T) {
 	extra := g.AddSwitch("island")
 	if _, err := TakahashiMatsuyama(g, []graph.NodeID{0, extra}); err == nil {
 		t.Fatal("disconnected accepted")
+	}
+}
+
+// TestTMDeterministic pins TM's tie-breaking: on a unit grid, where
+// equal-distance ties are everywhere, repeated calls must return the same
+// tree. Seeding the multi-source heap in map order made nearly every call
+// differ.
+func TestTMDeterministic(t *testing.T) {
+	g := gridGraph(8, 8)
+	terms := []graph.NodeID{0, 7, 56, 63, 27, 36, 14, 49}
+	first, err := TakahashiMatsuyama(g, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(g, first, terms); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 50; i++ {
+		tr, err := TakahashiMatsuyama(g, terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Cost != first.Cost || !slices.Equal(tr.Nodes, first.Nodes) || !slices.Equal(tr.Edges, first.Edges) {
+			t.Fatalf("call %d: tree differs from call 0 (cost %v vs %v)", i, tr.Cost, first.Cost)
+		}
 	}
 }
