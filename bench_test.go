@@ -253,15 +253,13 @@ func BenchmarkDistributedSOFDA(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamedJoin compares the two leader↔domain join modes on one
-// instance: the one-shot batch exchange (the leader waits for every
-// domain's whole response before touching the aux graph) against
-// server-streamed fragment joins (candidates are spliced into the aux
-// graph as they land, dominated ones pruned before allocating state).
-// Streamed runs report fragments/op, pruned/op, and overlap-ms/op — the
-// per-embedding window in which the leader was assembling while the
-// slowest domain was still solving. A positive overlap is the point of
-// the exchange: batch mode's equivalent is identically zero.
+// BenchmarkStreamedJoin measures the leader↔domain exchange on one
+// instance, with and without eager per-source closure: candidates are
+// spliced into the aux graph as they land, dominated ones pruned before
+// allocating state. Both arms report fragments/op, pruned/op, and
+// overlap-ms/op — the per-embedding window in which the leader was
+// assembling while the slowest domain was still solving. A positive
+// overlap is the point of the exchange.
 func BenchmarkStreamedJoin(b *testing.B) {
 	net := topology.Cogent(topology.Config{NumVMs: exp.DefaultVMs, Seed: 1})
 	rng := rand.New(rand.NewSource(1))
@@ -275,9 +273,8 @@ func BenchmarkStreamedJoin(b *testing.B) {
 		name string
 		cfg  dist.Config
 	}{
-		{"batch", dist.Config{}},
-		{"stream", dist.Config{Streaming: true}},
-		{"eager", dist.Config{Streaming: true, EagerClosure: true}},
+		{"stream", dist.Config{}},
+		{"eager", dist.Config{EagerClosure: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			cluster := dist.NewClusterWith(net.G, 3, mode.cfg)
@@ -289,20 +286,18 @@ func BenchmarkStreamedJoin(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if mode.cfg.Streaming {
-				st := cluster.StreamStats()
-				n := float64(b.N)
-				b.ReportMetric(float64(st.StreamedFragments)/n, "frags/op")
-				b.ReportMetric(float64(st.PrunedCandidates)/n, "pruned/op")
-				b.ReportMetric(float64(st.OverlapNS)/n/1e6, "overlap-ms/op")
-				if st.OverlapNS <= 0 {
-					b.Fatal("streamed join reported zero leader overlap — the aux graph was not built incrementally")
-				}
-				if mode.cfg.EagerClosure {
-					b.ReportMetric(float64(st.EarlyClosures)/n, "closures-early/op")
-					if st.EarlyClosures == 0 {
-						b.Fatal("eager join closed nothing before the completion phase")
-					}
+			st := cluster.StreamStats()
+			n := float64(b.N)
+			b.ReportMetric(float64(st.StreamedFragments)/n, "frags/op")
+			b.ReportMetric(float64(st.PrunedCandidates)/n, "pruned/op")
+			b.ReportMetric(float64(st.OverlapNS)/n/1e6, "overlap-ms/op")
+			if st.OverlapNS <= 0 {
+				b.Fatal("streamed join reported zero leader overlap — the aux graph was not built incrementally")
+			}
+			if mode.cfg.EagerClosure {
+				b.ReportMetric(float64(st.EarlyClosures)/n, "closures-early/op")
+				if st.EarlyClosures == 0 {
+					b.Fatal("eager join closed nothing before the completion phase")
 				}
 			}
 		})

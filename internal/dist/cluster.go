@@ -12,20 +12,20 @@
 // distribution changes where the work runs, not what is computed.
 //
 // The domain boundary is a real interface: the leader talks to domains
-// only through Transport, exchanging typed CandidateRequest and
-// CandidateResponse messages ([]chain.Pair in, []chain.Result out, spliced
-// by global index). ChannelTransport keeps the domains in-process (the
-// reference implementation and test double); package dist/rpc carries the
-// same messages over net/rpc so domains run as separate OS processes. The
-// leader survives transport failure: a domain Send is retried on a budget
-// and then its pairs are solved on a local fallback oracle, so a domain
-// crash degrades latency, never correctness.
+// only through Transport, sending a typed CandidateRequest ([]chain.Pair
+// in) and receiving a stream of CandidateFragments (per-pair results,
+// spliced by index into the centralized order while the auxiliary graph is
+// built). ChannelTransport keeps the domains in-process (the reference
+// implementation and test double); package dist/rpc carries the same
+// messages as framed gob over TCP so domains run as separate OS processes.
+// The leader survives transport failure: a failed stream is retried on a
+// budget for its undelivered pairs, which are then solved on a local
+// fallback oracle, so a domain crash degrades latency, never correctness.
 package dist
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -62,40 +62,32 @@ type Config struct {
 	// the leader's local fallback oracle. For the distributed cost to match
 	// the centralized one it must equal the options remote domains run.
 	Chain chain.Options
-	// RetryBudget is how many times a failed domain Send is retried before
-	// the leader falls back to its local oracle. Negative means 0.
+	// RetryBudget is how many times a failed domain stream is retried
+	// before the leader falls back to its local oracle. Negative means 0.
 	RetryBudget int
 	// DisableFallback turns the local-oracle fallback off: a domain whose
-	// Send fails past the retry budget fails the embedding with the
+	// stream fails past the retry budget fails the embedding with the
 	// transport error instead. Mostly for tests that assert on failures.
 	DisableFallback bool
-	// Streaming switches the leader to the server-streamed fragment
-	// exchange: domains emit CandidateFragments as pairs complete, and the
-	// leader splices them into the centralized candidate order and builds
-	// the auxiliary graph incrementally while slower domains are still
-	// solving — with dominated candidates pruned on arrival unless
-	// DisablePruning is set. The forest cost is identical to the batch
-	// exchange (and to centralized SOFDA). Requires a transport
-	// implementing StreamTransport; over a batch-only transport the leader
-	// quietly keeps the batch exchange, so wrappers and fault-injection
-	// doubles stay usable.
+	// Streaming selected between two exchanges; the streamed fragment
+	// exchange is now the only one.
+	//
+	// Deprecated: Streaming is ignored; nothing reads it.
 	Streaming bool
 	// DisablePruning keeps dominated candidates: every feasible candidate
-	// allocates aux-graph state. It governs both join modes — the batch
-	// exchange feeds the leader through the same pruning builder the
-	// streamed exchange uses. The forest cost is the same either way (the
-	// prune rule is cost-safe by construction); the switch exists for the
-	// equivalence tests and for measuring the pruning effect in isolation.
+	// allocates aux-graph state. The forest cost is the same either way
+	// (the prune rule is cost-safe by construction); the switch exists for
+	// the equivalence tests and for measuring the pruning effect in
+	// isolation.
 	DisablePruning bool
-	// EagerClosure overlaps the streamed exchange's Steiner phase with the
-	// gather: the moment every candidate of a source has spliced out of
-	// the reorder buffer, the leader starts that source's single-tree
-	// refinement (metric-closure ranking, KMB, forest assembly)
-	// concurrently with the still-streaming domains, so by Complete most
-	// closure passes are already done. The forest cost is bit-identical —
+	// EagerClosure overlaps the Steiner phase with the gather: the moment
+	// every candidate of a source has spliced out of the reorder buffer,
+	// the leader starts that source's single-tree refinement
+	// (metric-closure ranking, KMB, forest assembly) concurrently with the
+	// still-streaming domains, so by Complete most closure passes are
+	// already done. The forest cost is bit-identical —
 	// the eager runs execute the same code the completion phase would, on
-	// per-source candidate sets that are provably final. No effect on the
-	// batch exchange (there is no stream to overlap).
+	// per-source candidate sets that are provably final.
 	EagerClosure bool
 }
 
@@ -123,8 +115,7 @@ type Cluster struct {
 	// embedding's handshake stamp is an atomic load, not an O(V+E) hash.
 	memo digestMemo
 
-	// Streaming-exchange counters, cumulative across embeddings (see
-	// StreamStats).
+	// Exchange counters, cumulative across embeddings (see StreamStats).
 	streamFragments     atomic.Uint64
 	streamResults       atomic.Uint64
 	streamPruned        atomic.Uint64
@@ -210,8 +201,6 @@ func (c *Cluster) fallbackOracle() *chain.Oracle {
 }
 
 // candidateRequest builds the wire request for one domain's pair slice.
-// It is the single construction point for both join modes, so a field
-// added to the protocol cannot silently zero-value on one path only.
 func (c *Cluster) candidateRequest(epoch, digest uint64, chainLen, parallelism int, vms []graph.NodeID, pairs []chain.Pair) *CandidateRequest {
 	return &CandidateRequest{
 		CostEpoch:   epoch,
@@ -222,60 +211,6 @@ func (c *Cluster) candidateRequest(epoch, digest uint64, chainLen, parallelism i
 		Pairs:       pairs,
 		SourceSetup: c.cfg.Chain.SourceSetupCost,
 	}
-}
-
-// sendCandidates moves one domain's request over the transport with the
-// configured retry budget, falling back to the leader-local oracle when
-// the domain stays unreachable. Context errors are never retried or
-// absorbed by the fallback: a cancelled embedding must surface ctx.Err().
-func (c *Cluster) sendCandidates(ctx context.Context, domainID int, req *CandidateRequest) ([]CandidateResult, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.RetryBudget; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		resp, err := c.transport.Send(ctx, domainID, req)
-		if err == nil {
-			switch {
-			// Digest equality proves content equality, so the epoch is
-			// deliberately absent here: counters that drifted over
-			// identical graphs (bump-and-restore) must not refuse.
-			case resp.GraphDigest != req.GraphDigest || resp.SourceSetup != req.SourceSetup:
-				err = fmt.Errorf("dist: domain %d answered with graph digest %x sourceSetup %v, want digest %x sourceSetup %v: %w",
-					domainID, resp.GraphDigest, resp.SourceSetup,
-					req.GraphDigest, req.SourceSetup, ErrGraphMismatch)
-			case len(resp.Results) != len(req.Pairs):
-				err = fmt.Errorf("dist: domain %d answered %d results for %d pairs",
-					domainID, len(resp.Results), len(req.Pairs))
-			default:
-				return resp.Results, nil
-			}
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if errors.Is(err, ErrNoSuchDomain) {
-			// Leader misconfiguration (more cluster domains than the
-			// transport serves): deterministic, so retrying is pointless,
-			// and absorbing it into the fallback would permanently and
-			// silently un-distribute part of every embedding. Fail loudly.
-			return nil, err
-		}
-		if errors.Is(err, ErrGraphMismatch) {
-			// A re-send sees the same graphs; go straight to the fallback.
-			break
-		}
-	}
-	if c.cfg.DisableFallback {
-		return nil, fmt.Errorf("dist: domain %d failed past retry budget %d: %w",
-			domainID, c.cfg.RetryBudget, lastErr)
-	}
-	results, err := c.fallbackOracle().Chains(ctx, req.VMs, req.Pairs, req.ChainLen, req.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return WireResults(results), nil
 }
 
 // SOFDA runs the distributed Algorithm 2: each domain generates candidate
@@ -337,90 +272,7 @@ func (c *Cluster) SOFDA(ctx context.Context, req core.Request, opts Options) (*c
 		digest = c.memo.of(c.g)
 	}
 
-	if c.cfg.Streaming {
-		if st, ok := c.transport.(StreamTransport); ok {
-			return c.sofdaStreaming(ctx, st, req, o, vms, pairs, perDomain, perIndices, epoch, digest, opts.Parallelism)
-		}
-	}
-
-	type domainReply struct {
-		domain  int
-		indices []int
-		results []CandidateResult
-		err     error
-	}
-	dispatched := 0
-	for _, dp := range perDomain {
-		if len(dp) > 0 {
-			dispatched++
-		}
-	}
-	// Buffered to the dispatch count: after a cancelled gather returns,
-	// stragglers complete into the buffer and get collected, never leak.
-	out := make(chan domainReply, dispatched)
-	for d, dp := range perDomain {
-		if len(dp) == 0 {
-			continue
-		}
-		creq := c.candidateRequest(epoch, digest, req.ChainLen, opts.Parallelism, vms, dp)
-		go func(d int, indices []int, creq *CandidateRequest) {
-			results, err := c.sendCandidates(ctx, d, creq)
-			out <- domainReply{domain: d, indices: indices, results: results, err: err}
-		}(d, perIndices[d], creq)
-	}
-
-	// Gather phase: splice per-domain results back into centralized order.
-	// ctx.Done short-circuits the wait so a dead domain cannot stall a
-	// cancelled leader — the scatter goroutines drain into the buffer.
-	results := make([]chain.Result, len(pairs))
-	for i := 0; i < dispatched; i++ {
-		select {
-		case r := <-out:
-			if r.err != nil {
-				if ctx.Err() != nil {
-					// A cancellation that surfaced through a domain reply
-					// is still a cancellation, not a domain failure.
-					return nil, ctx.Err()
-				}
-				return nil, fmt.Errorf("dist: domain %d: %w", r.domain, r.err)
-			}
-			for j, idx := range r.indices {
-				wire := r.results[j]
-				results[idx] = chain.Result{Pair: wire.Pair, Chain: wire.Chain}
-				if wire.Err != "" {
-					results[idx].Err = errors.New(wire.Err)
-				}
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	// Completion through the same pruning builder the streamed exchange
-	// uses: dominated candidates are rejected on arrival (unless
-	// DisablePruning) instead of allocating aux-graph state, and the
-	// forest cost is provably unchanged either way.
-	builder, err := core.NewAuxGraphBuilder(ctx, c.g, req, o)
-	if err != nil {
-		return nil, err
-	}
-	if !c.cfg.DisablePruning {
-		builder.EnablePruning()
-	}
-	feasible := 0
-	for _, r := range results {
-		if r.Err != nil || r.Chain == nil {
-			continue
-		}
-		feasible++
-		if _, err := builder.AddCandidate(r.Chain); err != nil {
-			return nil, err
-		}
-	}
-	c.streamPruned.Add(uint64(builder.Pruned()))
-	if feasible == 0 {
-		return nil, fmt.Errorf("dist: no domain produced a feasible candidate chain")
-	}
-	return builder.Complete(ctx)
+	return c.gather(ctx, req, o, vms, pairs, perDomain, perIndices, epoch, digest, opts.Parallelism)
 }
 
 // Close shuts down the transport the cluster created (a Config-supplied

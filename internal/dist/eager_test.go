@@ -11,10 +11,10 @@ import (
 )
 
 // TestEagerClosureMatchesBatchAndCentralized is the overlapped-Steiner
-// correctness claim: with EagerClosure armed (on top of streaming and
-// pruning), the 4-seed × 3-domain-count matrix lands on exactly the
-// centralized cost, and the early-closure counters show the eager runs
-// actually fired before completion.
+// correctness claim: with EagerClosure armed (on top of pruning), the
+// 4-seed × 3-domain-count matrix lands on exactly the centralized cost,
+// and the early-closure counters show the eager runs actually fired
+// before completion.
 func TestEagerClosureMatchesBatchAndCentralized(t *testing.T) {
 	totalEarly := uint64(0)
 	for _, seed := range []int64{1, 7, 23, 42} {
@@ -24,10 +24,7 @@ func TestEagerClosureMatchesBatchAndCentralized(t *testing.T) {
 			t.Fatalf("seed %d: centralized: %v", seed, err)
 		}
 		for _, domains := range []int{1, 3, 5} {
-			cluster := NewClusterWith(net.G, domains, Config{
-				Streaming:    true,
-				EagerClosure: true,
-			})
+			cluster := NewClusterWith(net.G, domains, Config{EagerClosure: true})
 			f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 			if err != nil {
 				cluster.Close()
@@ -66,9 +63,9 @@ func TestEagerClosureSurvivesFallbackReBuy(t *testing.T) {
 	}
 	inner := NewChannelTransport(net.G, 3, chain.Options{})
 	defer inner.Close()
-	flaky := &partialStreamTransport{inner: inner, failAfter: 5}
+	flaky := &cutTransport{inner: inner, failAfter: 5}
 	cluster := NewClusterWith(net.G, 3, Config{
-		Transport: flaky, Streaming: true, EagerClosure: true, RetryBudget: 1,
+		Transport: flaky, EagerClosure: true, RetryBudget: 1,
 	})
 	defer cluster.Close()
 	f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})

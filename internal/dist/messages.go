@@ -17,8 +17,9 @@ type CandidateRequest struct {
 	// CostEpoch is the leader graph's cost epoch at request-build time,
 	// and GraphDigest a content hash of the leader's topology and costs
 	// (see GraphDigest). The digest decides the handshake: a domain whose
-	// digest disagrees answers with its own values and no results instead
-	// of solving (see Domain.Answer), and the leader falls back locally —
+	// digest disagrees answers with one Done fragment carrying its own
+	// values instead of solving (see Domain.AnswerStream), and the leader
+	// falls back locally —
 	// this catches wrong-seed/wrong-net domains that epoch counters
 	// cannot, while epoch counters that merely drifted over identical
 	// graphs do not refuse. The epoch is carried for observability and as
@@ -70,19 +71,6 @@ type CandidateResult struct {
 	Err   string
 }
 
-// CandidateResponse is a domain's answer to a CandidateRequest: one result
-// per request pair, in request order, plus the cost epoch and graph digest
-// the domain answered at. The leader cross-checks both against the
-// request's; a mismatch travels as a well-formed response (not a transport
-// error) so the sentinel survives codecs — net/rpc flattens server errors
-// to strings — and the leader can classify it as non-retryable.
-type CandidateResponse struct {
-	CostEpoch   uint64
-	GraphDigest uint64
-	SourceSetup bool
-	Results     []CandidateResult
-}
-
 // FragmentResult is one pair's outcome inside a streamed fragment. Index
 // locates the result in the originating CandidateRequest's Pairs slice, so
 // fragments are self-splicing: a domain may emit results in completion
@@ -95,18 +83,17 @@ type FragmentResult struct {
 
 // CandidateFragment is one message of the server-streaming candidate
 // exchange: a domain answers a CandidateRequest with an ordered sequence
-// of fragments instead of a single CandidateResponse, so the leader can
-// splice candidates into the auxiliary graph while slower domains are
-// still solving.
+// of fragments, so the leader can splice candidates into the auxiliary
+// graph while slower domains are still solving.
 //
 // Every fragment — including the trailer — carries the domain's cost
-// epoch, graph digest, and source-setup pricing. The digest plays the same
-// role it does in the batch handshake (a refusal is a well-formed Done
-// fragment carrying the domain's own values and no results, so the
-// sentinel survives any codec), and the per-fragment epoch stamp makes a
-// mid-stream re-pricing on the domain observable: the leader counts epoch
-// drift, and on wire transports a re-pricing also moves the digest, which
-// refuses the remainder of the stream.
+// epoch, graph digest, and source-setup pricing. The digest decides the
+// handshake (a refusal is a well-formed Done fragment carrying the
+// domain's own values and no results, so the sentinel survives any codec),
+// and the per-fragment epoch stamp makes a mid-stream re-pricing on the
+// domain observable: the leader counts epoch drift, and on wire transports
+// a re-pricing also moves the digest, which refuses the remainder of the
+// stream.
 type CandidateFragment struct {
 	CostEpoch   uint64
 	GraphDigest uint64
@@ -120,8 +107,8 @@ type CandidateFragment struct {
 	// Done marks the trailer: no further fragments follow this exchange.
 	Done bool
 	// Err is a batch-level failure flattened to a string (Done trailers
-	// only) — a remote context error, never a per-pair infeasibility,
-	// which travels inside Results.
+	// only) — a remote context error or a malformed request, never a
+	// per-pair infeasibility, which travels inside Results.
 	Err string
 }
 

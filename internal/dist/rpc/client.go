@@ -1,47 +1,34 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
+	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
-	gorpc "net/rpc"
 	"sync"
 	"time"
 
 	"sof/internal/dist"
 )
 
-// Transport is the leader-side dist.Transport over net/rpc: one lazily
-// dialed, reused connection per domain, keyed by domain ID and shared by
-// concurrent embeddings. Connection lifecycle is deliberately
-// conservative about shared state:
-//
-//   - a transport-level call failure (dial, ErrShutdown, broken conn)
-//     drops the cached connection so the next attempt — the cluster's
-//     retry — redials a possibly recovered domain;
-//   - a server-side error (rpc.ServerError) keeps the connection: the
-//     domain answered, the pipe is healthy;
-//   - a Send whose context ends mid-call severs the connection only when
-//     no other embedding has a call in flight on it, aborting a hung
-//     exchange without cutting down a concurrent healthy call.
+// Transport is the leader-side dist.Transport: a pool of idle stream
+// connections per domain, dialed lazily and shared by concurrent
+// embeddings. A connection returns to the pool only after a clean Done
+// trailer; a failed exchange, a cancellation, or an errored trailer closes
+// it, so the next attempt — the cluster's retry — redials a possibly
+// recovered domain.
 type Transport struct {
 	addrs []string
 
-	mu      sync.Mutex
-	closed  bool
-	clients map[int]*clientEntry
-	// streams pools idle framed-gob stream connections per domain (see
-	// stream.go); streamActive tracks the ones inside a SendStream so
-	// Close severs in-flight streams instead of leaking them.
-	streams      map[int][]*streamConn
-	streamActive map[*streamConn]struct{}
-}
-
-// clientEntry is one cached domain connection plus the number of Sends
-// currently using it (guarded by Transport.mu).
-type clientEntry struct {
-	cl       *gorpc.Client
-	inflight int
+	mu     sync.Mutex
+	closed bool
+	// idle pools the healthy connections between exchanges; active tracks
+	// the ones inside a SendStream so Close severs in-flight streams
+	// instead of leaking them.
+	idle   map[int][]*streamConn
+	active map[*streamConn]struct{}
 }
 
 var _ dist.Transport = (*Transport)(nil)
@@ -49,27 +36,38 @@ var _ dist.Transport = (*Transport)(nil)
 // NewTransport returns a transport that reaches domain i at addrs[i].
 func NewTransport(addrs []string) *Transport {
 	return &Transport{
-		addrs:        append([]string(nil), addrs...),
-		clients:      make(map[int]*clientEntry),
-		streams:      make(map[int][]*streamConn),
-		streamActive: make(map[*streamConn]struct{}),
+		addrs:  append([]string(nil), addrs...),
+		idle:   make(map[int][]*streamConn),
+		active: make(map[*streamConn]struct{}),
 	}
 }
 
-// acquire returns the cached connection for the domain with its inflight
-// count already incremented, dialing if needed. The dial happens outside
-// the lock so slow domains do not serialize the leader's scatter; a lost
-// race closes the duplicate.
-func (t *Transport) acquire(ctx context.Context, domainID int) (*clientEntry, error) {
+// streamConn is one leader-side connection with its persistent codec
+// state (gob type descriptors cross once per connection, not per
+// exchange).
+type streamConn struct {
+	conn net.Conn
+	bw   *bufio.Writer
+	enc  *gob.Encoder
+	dec  *gob.Decoder
+}
+
+// acquire pops a pooled connection for the domain or dials a fresh one
+// (writing the magic). The dial happens outside the lock so slow domains
+// do not serialize the leader's scatter. The connection is tracked as
+// active so Close severs in-flight streams.
+func (t *Transport) acquire(ctx context.Context, domainID int) (*streamConn, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return nil, fmt.Errorf("rpc: transport is closed")
 	}
-	if e, ok := t.clients[domainID]; ok {
-		e.inflight++
+	if pool := t.idle[domainID]; len(pool) > 0 {
+		sc := pool[len(pool)-1]
+		t.idle[domainID] = pool[:len(pool)-1]
+		t.active[sc] = struct{}{}
 		t.mu.Unlock()
-		return e, nil
+		return sc, nil
 	}
 	t.mu.Unlock()
 
@@ -78,93 +76,126 @@ func (t *Transport) acquire(ctx context.Context, domainID int) (*clientEntry, er
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial domain %d at %s: %w", domainID, t.addrs[domainID], err)
 	}
-	cl := gorpc.NewClient(conn) // gob codec
-
+	if _, err := io.WriteString(conn, streamMagic); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("rpc: domain %d magic: %w", domainID, err)
+	}
+	bw := bufio.NewWriter(conn)
+	sc := &streamConn{conn: conn, bw: bw, enc: gob.NewEncoder(bw), dec: gob.NewDecoder(bufio.NewReader(conn))}
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		cl.Close()
+		conn.Close()
 		return nil, fmt.Errorf("rpc: transport is closed")
 	}
-	if other, ok := t.clients[domainID]; ok {
-		other.inflight++
-		t.mu.Unlock()
-		cl.Close()
-		return other, nil
-	}
-	e := &clientEntry{cl: cl, inflight: 1}
-	t.clients[domainID] = e
+	t.active[sc] = struct{}{}
 	t.mu.Unlock()
-	return e, nil
+	return sc, nil
 }
 
-// release ends this Send's use of the entry. When drop is true the entry
-// is also evicted and closed — unconditionally for transport-level
-// failures (the pipe is broken for everyone), but only once idle for
-// cancellations, so a hung exchange is severed without cutting down a
-// concurrent embedding's healthy call on the same connection.
-func (t *Transport) release(domainID int, e *clientEntry, drop, evenIfShared bool) {
+// release returns a healthy connection to the pool; an unhealthy one
+// (failed exchange, cancellation, errored trailer) is closed — its codec
+// state is mid-message and unusable.
+func (t *Transport) release(domainID int, sc *streamConn, healthy bool) {
 	t.mu.Lock()
-	e.inflight--
-	if drop && !evenIfShared && e.inflight > 0 {
-		// A concurrent Send still trusts this connection; leave it.
+	delete(t.active, sc)
+	if healthy && !t.closed {
+		t.idle[domainID] = append(t.idle[domainID], sc)
 		t.mu.Unlock()
 		return
 	}
-	if drop {
-		if cur, ok := t.clients[domainID]; ok && cur == e {
-			delete(t.clients, domainID)
-		}
-	}
 	t.mu.Unlock()
-	if drop {
-		e.cl.Close()
-	}
+	sc.conn.Close()
 }
 
-// Send implements dist.Transport: it stamps the context's remaining time
-// budget into the wire request (a relative duration — the remote domain
-// observes the leader's cancellation horizon without the two machines'
-// clocks having to agree), issues the call asynchronously, and races it
-// against ctx.
-func (t *Transport) Send(ctx context.Context, domainID int, req *dist.CandidateRequest) (*dist.CandidateResponse, error) {
+// SendStream implements dist.Transport: the request goes out with the
+// context's remaining time budget stamped as a relative duration (the
+// remote domain observes the leader's cancellation horizon without the two
+// machines' clocks having to agree), and fragments are handed to sink as
+// they arrive, racing ctx. On cancellation the connection is severed,
+// which both unblocks the reader and makes the remote domain abort its
+// batch at the next fragment write.
+func (t *Transport) SendStream(ctx context.Context, domainID int, req *dist.CandidateRequest, sink func(*dist.CandidateFragment) error) error {
 	if domainID < 0 || domainID >= len(t.addrs) {
-		return nil, fmt.Errorf("rpc: domain %d out of range [0,%d): %w", domainID, len(t.addrs), dist.ErrNoSuchDomain)
+		return fmt.Errorf("rpc: domain %d out of range [0,%d): %w", domainID, len(t.addrs), dist.ErrNoSuchDomain)
+	}
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	e, err := t.acquire(ctx, domainID)
+	sc, err := t.acquire(ctx, domainID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	wireReq := *req
 	if dl, ok := ctx.Deadline(); ok {
 		wireReq.Timeout = int64(time.Until(dl))
 	}
-	resp := new(dist.CandidateResponse)
-	call := e.cl.Go(MethodCandidates, &wireReq, resp, make(chan *gorpc.Call, 1))
-	select {
-	case <-ctx.Done():
-		// Sever the connection to abort a hung exchange — but only if no
-		// concurrent embedding is mid-call on it.
-		t.release(domainID, e, true, false)
-		return nil, ctx.Err()
-	case done := <-call.Done:
-		if done.Error != nil {
-			// A ServerError means the domain answered over a healthy pipe;
-			// anything else means the connection itself is unusable.
-			_, serverSide := done.Error.(gorpc.ServerError)
-			t.release(domainID, e, !serverSide, true)
-			return nil, fmt.Errorf("rpc: domain %d candidates: %w", domainID, done.Error)
+	if err := sc.enc.Encode(&wireReq); err != nil {
+		t.release(domainID, sc, false)
+		return fmt.Errorf("rpc: domain %d stream request: %w", domainID, err)
+	}
+	if err := sc.bw.Flush(); err != nil {
+		t.release(domainID, sc, false)
+		return fmt.Errorf("rpc: domain %d stream request: %w", domainID, err)
+	}
+
+	type decoded struct {
+		frag *dist.CandidateFragment
+		err  error
+	}
+	frames := make(chan decoded)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for {
+			f := new(dist.CandidateFragment)
+			err := sc.dec.Decode(f)
+			select {
+			case frames <- decoded{frag: f, err: err}:
+			case <-stop:
+				return
+			}
+			if err != nil || f.Done {
+				return
+			}
 		}
-		t.release(domainID, e, false, false)
-		return resp, nil
+	}()
+	for {
+		select {
+		case <-ctx.Done():
+			// Sever the connection: the reader goroutine unblocks with a
+			// read error, and the domain aborts at its next fragment write.
+			t.release(domainID, sc, false)
+			return ctx.Err()
+		case d := <-frames:
+			if d.err != nil {
+				t.release(domainID, sc, false)
+				return fmt.Errorf("rpc: domain %d stream: %w", domainID, d.err)
+			}
+			if d.frag.Done && d.frag.Err != "" {
+				// Batch-level failure flattened by the domain (remote
+				// context error, malformed request). The domain drops the
+				// connection after an errored exchange; so do we.
+				t.release(domainID, sc, false)
+				return fmt.Errorf("rpc: domain %d stream: %s", domainID, d.frag.Err)
+			}
+			if err := sink(d.frag); err != nil {
+				t.release(domainID, sc, false)
+				return err
+			}
+			if d.frag.Done {
+				t.release(domainID, sc, true)
+				return nil
+			}
+		}
 	}
 }
 
-// Close severs every cached connection — net/rpc clients, pooled stream
-// connections, and streams mid-exchange. Sends after Close fail.
+// Close severs every connection — pooled and mid-exchange. SendStreams
+// after Close fail.
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -172,23 +203,15 @@ func (t *Transport) Close() error {
 		return nil
 	}
 	t.closed = true
-	clients := t.clients
-	t.clients = nil
-	pooled := t.streams
-	t.streams = nil
-	active := make([]*streamConn, 0, len(t.streamActive))
-	for sc := range t.streamActive {
+	idle := t.idle
+	t.idle = nil
+	active := make([]*streamConn, 0, len(t.active))
+	for sc := range t.active {
 		//sofvet:ignore detorder teardown: each stream conn is closed independently and has no sort key
 		active = append(active, sc)
 	}
 	t.mu.Unlock()
-	var first error
-	for _, e := range clients {
-		if err := e.cl.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, pool := range pooled {
+	for _, pool := range idle {
 		for _, sc := range pool {
 			sc.conn.Close()
 		}
@@ -196,5 +219,5 @@ func (t *Transport) Close() error {
 	for _, sc := range active {
 		sc.conn.Close()
 	}
-	return first
+	return nil
 }

@@ -1,28 +1,33 @@
-// Package rpc carries the dist candidate protocol over net/rpc with the
-// gob codec, so domain controllers run as separate OS processes: a
-// DomainServer answers dist.CandidateRequests with its own graph and
-// oracle (served by cmd/sofdomain or embedded in a test), and Transport is
-// the leader-side dist.Transport that manages one connection per domain
-// and propagates context deadlines onto the wire.
+// Package rpc carries the dist candidate exchange over TCP, so domain
+// controllers run as separate OS processes: a DomainServer answers
+// dist.CandidateRequests with its own graph and oracle (served by
+// cmd/sofdomain or embedded in a test), and Transport is the leader-side
+// dist.Transport that pools connections per domain and propagates context
+// deadlines onto the wire.
+//
+// A connection opens with the 8-byte magic streamMagic and is then a
+// framed gob exchange, reused across embeddings: the leader writes one
+// dist.CandidateRequest per exchange, the domain answers with a stream of
+// dist.CandidateFragments ending in a Done trailer, and the next request
+// may follow on the same connection. The server closes, unanswered, any
+// connection that opens with other bytes.
+//
+// Cancellation needs no control message: a leader that gives up severs
+// the connection, the domain's next fragment write fails, and
+// dist.Domain.AnswerStream aborts the oracle fan-out mid-batch.
 //
 // The messages are exactly the ones the in-process ChannelTransport moves;
 // the equivalence tests pin the two transports to bit-identical forest
-// costs, and the codec helpers in this package mirror the gob encoding
-// net/rpc applies so captured payloads can be replayed and fuzzed.
-//
-// Known limitation: leader cancellation reaches a remote handler only
-// through the wire time budget (CandidateRequest.Timeout, stamped from
-// the context deadline). Cancelling a deadline-free context severs the
-// connection — the leader returns promptly — but the domain finishes the
-// abandoned batch before discovering the dead connection. Give latency-
-// sensitive leaders a context deadline; in-batch abort (and streamed
-// partial responses) is the streaming-joins follow-up in the ROADMAP.
+// costs, and the codec helpers in this package mirror the gob encoding of
+// those messages so captured payloads can be replayed and fuzzed.
 package rpc
 
 import (
+	"bufio"
 	"context"
+	"encoding/gob"
+	"io"
 	"net"
-	gorpc "net/rpc"
 	"sync"
 
 	"sof/internal/chain"
@@ -30,11 +35,9 @@ import (
 	"sof/internal/graph"
 )
 
-// ServiceName is the rpc service the domain registers.
-const ServiceName = "SOFDomain"
-
-// MethodCandidates is the fully qualified candidate-generation method.
-const MethodCandidates = ServiceName + ".Candidates"
+// streamMagic opens every connection, so the server can tell a leader
+// from a stray or mistaken client before decoding anything.
+const streamMagic = "SOFSTRM1"
 
 // DomainServer answers candidate requests for one domain controller. It
 // wraps the shared domain-side handler (dist.Domain): a private oracle
@@ -50,45 +53,23 @@ func NewDomainServer(g *graph.Graph, chainOpts chain.Options) *DomainServer {
 	return &DomainServer{dom: dist.NewDomain(g, chainOpts)}
 }
 
-// Candidates is the net/rpc handler: the shared handler verifies the
-// graph-state handshake, rebuilds the leader's cancellation horizon from
-// the wire timeout, and runs the oracle fan-out.
-//
-//sofvet:ignore ctxflow net/rpc fixes the handler signature; the leader's deadline travels in req.TimeoutMillis
-func (s *DomainServer) Candidates(req *dist.CandidateRequest, resp *dist.CandidateResponse) error {
-	//sofvet:ignore ctxflow no caller context exists over net/rpc; Answer rebuilds the horizon from the wire timeout
-	answer, err := s.dom.Answer(context.Background(), req)
-	if err != nil {
-		return err
-	}
-	*resp = *answer
-	return nil
-}
-
 // Server is a running serve loop: a listener plus the connections it has
 // accepted, all torn down by Close.
 type Server struct {
 	lis net.Listener
-	srv *gorpc.Server
-	// ds answers both protocols the listener speaks: net/rpc batch calls
-	// and the framed-gob fragment streams (see stream.go).
-	ds *DomainServer
-	wg sync.WaitGroup
+	ds  *DomainServer
+	wg  sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]struct{}
 }
 
-// Serve registers ds under ServiceName and starts accepting connections on
-// lis in a background goroutine, one gob-codec ServeConn goroutine per
-// connection. The caller owns the returned Server and must Close it.
+// Serve starts accepting connections on lis in a background goroutine,
+// one goroutine per connection, each answered by ds. The caller owns the
+// returned Server and must Close it.
 func Serve(lis net.Listener, ds *DomainServer) (*Server, error) {
-	srv := gorpc.NewServer()
-	if err := srv.RegisterName(ServiceName, ds); err != nil {
-		return nil, err
-	}
-	s := &Server{lis: lis, srv: srv, ds: ds, conns: make(map[net.Conn]struct{})}
+	s := &Server{lis: lis, ds: ds, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -114,14 +95,51 @@ func (s *Server) acceptLoop() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			// One listener, two protocols: the first bytes decide whether
-			// this is a net/rpc batch connection or a fragment stream.
-			s.sniffProtocol(conn)
+			s.serveConn(conn)
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
 			conn.Close()
 		}()
+	}
+}
+
+// serveConn checks the magic, then answers stream exchanges on one
+// connection until the peer hangs up: one CandidateRequest in, a fragment
+// stream out, then the next request on the same connection. Fan-out
+// cancellation rides the write path — AnswerStream's emit fails as soon as
+// the peer is gone.
+func (s *Server) serveConn(conn net.Conn) {
+	magic := make([]byte, len(streamMagic))
+	if _, err := io.ReadFull(conn, magic); err != nil || string(magic) != streamMagic {
+		return // not a leader: the caller closes the connection unanswered
+	}
+	dec := gob.NewDecoder(bufio.NewReader(conn))
+	bw := bufio.NewWriter(conn)
+	enc := gob.NewEncoder(bw)
+	for {
+		req := new(dist.CandidateRequest)
+		if err := dec.Decode(req); err != nil {
+			return // peer closed (or a framing error — either way the conn is done)
+		}
+		//sofvet:ignore ctxflow the conn is the cancellation signal: a dead peer fails the next per-fragment flush
+		err := s.ds.dom.AnswerStream(context.Background(), req, func(f *dist.CandidateFragment) error {
+			if err := enc.Encode(f); err != nil {
+				return err
+			}
+			// Flush per fragment: the leader must see it now, and a dead
+			// peer must fail this write so the batch aborts.
+			return bw.Flush()
+		})
+		if err != nil {
+			// Best-effort errored trailer (a remote context error or a
+			// malformed request, not an emit failure, can still reach a
+			// live leader), then drop the connection: its codec state is
+			// ambiguous after a failed exchange.
+			enc.Encode(&dist.CandidateFragment{Done: true, Err: err.Error()})
+			bw.Flush()
+			return
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -35,7 +36,7 @@ func softLayerInstance(seed int64) (*topology.Network, core.Request, *core.Optio
 	return net, req, &core.Options{VMs: net.VMs}
 }
 
-// startDomains spins n real net/rpc domain servers on 127.0.0.1:0
+// startDomains spins n real domain servers on 127.0.0.1:0
 // listeners, each over its own graph built by build, and returns their
 // addresses. Servers are torn down with the test.
 func startDomains(t testing.TB, n int, build func(i int) *topology.Network) []string {
@@ -58,12 +59,11 @@ func startDomains(t testing.TB, n int, build func(i int) *topology.Network) []st
 
 // TestRPCEquivalenceMatrix is the distributed correctness claim of
 // Section VI carried over a real wire: on the 4-seed × 3-domain-count
-// matrix, SOFDA through net/rpc domain servers — each rebuilding the
-// network from the seed in its own right — costs exactly what the
-// centralized solver costs. Three exchanges run over the same servers:
-// the one-shot batch call, the server-streamed fragment join (with
-// dominated-candidate pruning armed), and the streamed join with eager
-// per-source closure — all of which must agree bit for bit.
+// matrix, SOFDA through TCP domain servers — each rebuilding the network
+// from the seed in its own right — costs exactly what the centralized
+// solver costs. Two leaders run over the same servers: the streamed join
+// with dominated-candidate pruning armed, and the same join with eager
+// per-source closure — both of which must agree bit for bit.
 func TestRPCEquivalenceMatrix(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		network, req, opts := softLayerInstance(seed)
@@ -78,9 +78,8 @@ func TestRPCEquivalenceMatrix(t *testing.T) {
 				name string
 				cfg  dist.Config
 			}{
-				{"batch", dist.Config{}},
-				{"stream", dist.Config{Streaming: true}},
-				{"stream-eager", dist.Config{Streaming: true, EagerClosure: true}},
+				{"stream", dist.Config{}},
+				{"stream-eager", dist.Config{EagerClosure: true}},
 			} {
 				cfg := mode.cfg
 				cfg.Transport = tr
@@ -100,7 +99,7 @@ func TestRPCEquivalenceMatrix(t *testing.T) {
 						seed, domains, mode.name, f.TotalCost(), central.TotalCost())
 				}
 				st := cluster.StreamStats()
-				if mode.name != "batch" && st.StreamedResults == 0 {
+				if st.StreamedResults == 0 {
 					t.Errorf("seed %d domains %d %s: streamed run moved no fragments (%+v)", seed, domains, mode.name, st)
 				}
 				if mode.name == "stream-eager" && st.EarlyClosures == 0 {
@@ -125,7 +124,7 @@ func TestRPCStreamConnectionReuse(t *testing.T) {
 	addrs := startDomains(t, 3, func(int) *topology.Network { return buildSoftLayer(7) })
 	tr := NewTransport(addrs)
 	defer tr.Close()
-	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr, Streaming: true})
+	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr})
 	defer cluster.Close()
 	for i := 0; i < 4; i++ {
 		f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
@@ -158,7 +157,7 @@ func (s slowSolver) Name() string { return "slow-" + s.inner.Name() }
 // on the wire: a leader that cancels a deadline-free context mid-stream
 // severs the connection, and the remote domain must observe the dead peer
 // at its next fragment write and abort the oracle fan-out — not finish
-// the batch into the void, as the batch exchange documented it would.
+// the batch into the void.
 func TestRPCStreamCancellationAbortsRemoteBatch(t *testing.T) {
 	network, req, opts := softLayerInstance(7)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -233,31 +232,6 @@ func TestFragmentCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRPCConnectionReuseAcrossEmbeddings runs several embeddings over one
-// transport: the per-domain connections are dialed once and reused, and
-// costs stay pinned to the centralized result every time.
-func TestRPCConnectionReuseAcrossEmbeddings(t *testing.T) {
-	network, req, opts := softLayerInstance(7)
-	central, err := core.SOFDA(network.G, req, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startDomains(t, 3, func(int) *topology.Network { return buildSoftLayer(7) })
-	tr := NewTransport(addrs)
-	defer tr.Close()
-	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr})
-	defer cluster.Close()
-	for i := 0; i < 4; i++ {
-		f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
-		if err != nil {
-			t.Fatalf("embedding %d: %v", i, err)
-		}
-		if f.TotalCost() != central.TotalCost() {
-			t.Fatalf("embedding %d: cost %v != centralized %v", i, f.TotalCost(), central.TotalCost())
-		}
-	}
-}
-
 // TestRPCRepricedLeaderFallsBack reprices the leader's links so its graph
 // content diverges from the domain servers' (which rebuilt the original
 // network and never saw the mutation). The domains' digests no longer
@@ -290,8 +264,8 @@ func TestRPCRepricedLeaderFallsBack(t *testing.T) {
 	}
 
 	// Without the fallback the mismatch must surface as the sentinel even
-	// across the wire: it travels inside the response (not as a flattened
-	// server error), so errors.Is still finds it leader-side.
+	// across the wire: it travels inside a Done fragment (not as a
+	// flattened error string), so errors.Is still finds it leader-side.
 	strict := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr, DisableFallback: true})
 	defer strict.Close()
 	if _, err := strict.SOFDA(context.Background(), req, dist.Options{Core: opts}); !errors.Is(err, dist.ErrGraphMismatch) {
@@ -348,10 +322,16 @@ func TestDomainServerExpiredTimeout(t *testing.T) {
 		Pairs:       chain.Pairs(req.Sources, opts.VMs),
 		Timeout:     -int64(time.Second),
 	}
-	var resp dist.CandidateResponse
-	err := ds.Candidates(creq, &resp)
+	emitted := 0
+	err := ds.dom.AnswerStream(context.Background(), creq, func(*dist.CandidateFragment) error {
+		emitted++
+		return nil
+	})
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Candidates with spent time budget = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("AnswerStream with spent time budget = %v, want context.DeadlineExceeded", err)
+	}
+	if emitted != 0 {
+		t.Errorf("AnswerStream with spent time budget emitted %d fragments", emitted)
 	}
 }
 
@@ -400,9 +380,9 @@ func TestRPCSourceSetupMismatchRefused(t *testing.T) {
 }
 
 // TestDomainServerGraphMismatch pins the wire handshake: a request whose
-// topology digest disagrees is answered with the domain's own values and
-// no results — a well-formed response, so the refusal survives codecs
-// that flatten errors. A request whose epoch drifted but whose digest
+// topology digest disagrees is answered with a single Done fragment
+// carrying the domain's own values and no results — a well-formed
+// fragment, so the refusal survives codecs that flatten errors. A request whose epoch drifted but whose digest
 // proves the graphs identical is solved normally: epoch counters are
 // bookkeeping, content equality is what the handshake protects.
 func TestDomainServerGraphMismatch(t *testing.T) {
@@ -417,14 +397,21 @@ func TestDomainServerGraphMismatch(t *testing.T) {
 		VMs:         opts.VMs,
 		Pairs:       pairs,
 	}
-	var resp dist.CandidateResponse
-	if err := ds.Candidates(refusal, &resp); err != nil {
-		t.Fatalf("wrong digest: Candidates = %v, want refusal response, not error", err)
+	var frags []*dist.CandidateFragment
+	collect := func(f *dist.CandidateFragment) error {
+		frags = append(frags, f)
+		return nil
 	}
-	if len(resp.Results) != 0 {
-		t.Errorf("wrong digest: refusal carried %d results", len(resp.Results))
+	if err := ds.dom.AnswerStream(context.Background(), refusal, collect); err != nil {
+		t.Fatalf("wrong digest: AnswerStream = %v, want refusal fragment, not error", err)
 	}
-	if resp.CostEpoch != network.G.CostEpoch() || resp.GraphDigest != dist.GraphDigest(network.G) {
+	if len(frags) != 1 || !frags[0].Done {
+		t.Fatalf("wrong digest: got %d fragments, want one Done fragment", len(frags))
+	}
+	if len(frags[0].Results) != 0 {
+		t.Errorf("wrong digest: refusal carried %d results", len(frags[0].Results))
+	}
+	if frags[0].CostEpoch != network.G.CostEpoch() || frags[0].GraphDigest != dist.GraphDigest(network.G) {
 		t.Error("wrong digest: refusal does not carry the domain's own epoch/digest")
 	}
 
@@ -435,13 +422,17 @@ func TestDomainServerGraphMismatch(t *testing.T) {
 		VMs:         opts.VMs,
 		Pairs:       pairs,
 	}
-	var resp2 dist.CandidateResponse
-	if err := ds.Candidates(drifted, &resp2); err != nil {
-		t.Fatalf("drifted epoch, equal digest: Candidates = %v", err)
+	frags = nil
+	if err := ds.dom.AnswerStream(context.Background(), drifted, collect); err != nil {
+		t.Fatalf("drifted epoch, equal digest: AnswerStream = %v", err)
 	}
-	if len(resp2.Results) != len(pairs) {
+	answered := 0
+	for _, f := range frags {
+		answered += len(f.Results)
+	}
+	if answered != len(pairs) {
 		t.Errorf("drifted epoch, equal digest: answered %d results for %d pairs — epoch drift over an identical graph must not refuse",
-			len(resp2.Results), len(pairs))
+			answered, len(pairs))
 	}
 }
 
@@ -476,30 +467,18 @@ func TestRPCEpochDriftOverIdenticalGraphStaysDistributed(t *testing.T) {
 	}
 }
 
-// captureMessages builds a real request and its real response off the
-// equivalence-test instance — the same payloads the wire moves, reused as
-// the codec tests' ground truth and the fuzz targets' seed corpus.
-func captureMessages(tb testing.TB) (*dist.CandidateRequest, *dist.CandidateResponse) {
-	tb.Helper()
+// captureRequest builds a real request off the equivalence-test instance
+// — the same payload the wire moves, reused as the codec tests' ground
+// truth and the request fuzz target's seed corpus.
+func captureRequest() *dist.CandidateRequest {
 	network, req, opts := softLayerInstance(1)
-	pairs := chain.Pairs(req.Sources, opts.VMs)
-	creq := &dist.CandidateRequest{
+	return &dist.CandidateRequest{
 		CostEpoch:   network.G.CostEpoch(),
 		GraphDigest: dist.GraphDigest(network.G),
 		ChainLen:    req.ChainLen,
 		Parallelism: 1,
 		VMs:         opts.VMs,
-		Pairs:       pairs,
-	}
-	oracle := chain.NewOracle(network.G, chain.Options{})
-	results, err := oracle.Chains(context.Background(), opts.VMs, pairs, req.ChainLen, 1)
-	if err != nil {
-		tb.Fatalf("capture: %v", err)
-	}
-	return creq, &dist.CandidateResponse{
-		CostEpoch:   creq.CostEpoch,
-		GraphDigest: creq.GraphDigest,
-		Results:     dist.WireResults(results),
+		Pairs:       chain.Pairs(req.Sources, opts.VMs),
 	}
 }
 
@@ -509,16 +488,9 @@ func captureMessages(tb testing.TB) (*dist.CandidateRequest, *dist.CandidateResp
 // fuzz target's seed corpus.
 func captureFragments(tb testing.TB) []*dist.CandidateFragment {
 	tb.Helper()
-	network, req, opts := softLayerInstance(1)
+	network, _, _ := softLayerInstance(1)
 	dom := dist.NewDomain(network.G, chain.Options{})
-	creq := &dist.CandidateRequest{
-		CostEpoch:   network.G.CostEpoch(),
-		GraphDigest: dist.GraphDigest(network.G),
-		ChainLen:    req.ChainLen,
-		Parallelism: 1,
-		VMs:         opts.VMs,
-		Pairs:       chain.Pairs(req.Sources, opts.VMs),
-	}
+	creq := captureRequest()
 	var frags []*dist.CandidateFragment
 	if err := dom.AnswerStream(context.Background(), creq, func(f *dist.CandidateFragment) error {
 		frags = append(frags, f)
@@ -532,10 +504,10 @@ func captureFragments(tb testing.TB) []*dist.CandidateFragment {
 	return frags
 }
 
-// TestCandidateCodecRoundTrip pins decode(encode(x)) == x on real captured
-// messages, field for field.
+// TestCandidateCodecRoundTrip pins decode(encode(x)) == x on a real
+// captured request, field for field.
 func TestCandidateCodecRoundTrip(t *testing.T) {
-	req, resp := captureMessages(t)
+	req := captureRequest()
 	reqData, err := EncodeRequest(req)
 	if err != nil {
 		t.Fatalf("encode request: %v", err)
@@ -547,18 +519,6 @@ func TestCandidateCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotReq, req) {
 		t.Errorf("request round trip mismatch:\n got %+v\nwant %+v", gotReq, req)
 	}
-	respData, err := EncodeResponse(resp)
-	if err != nil {
-		t.Fatalf("encode response: %v", err)
-	}
-	gotResp, err := DecodeResponse(respData)
-	if err != nil {
-		t.Fatalf("decode response: %v", err)
-	}
-	if !reflect.DeepEqual(gotResp, resp) {
-		t.Errorf("response round trip mismatch: got %d results, want %d",
-			len(gotResp.Results), len(resp.Results))
-	}
 }
 
 // TestCandidateCodecCorruptedPayload flips bytes of a valid encoding at
@@ -566,8 +526,7 @@ func TestCandidateCodecRoundTrip(t *testing.T) {
 // targets explore this space much harder; this is the deterministic
 // smoke version).
 func TestCandidateCodecCorruptedPayload(t *testing.T) {
-	req, _ := captureMessages(t)
-	data, err := EncodeRequest(req)
+	data, err := EncodeRequest(captureRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +538,98 @@ func TestCandidateCodecCorruptedPayload(t *testing.T) {
 	if _, err := DecodeRequest(data[:len(data)/2]); err == nil {
 		t.Error("decoding a truncated request succeeded")
 	}
-	if _, err := DecodeResponse([]byte("definitely not gob")); err == nil {
-		t.Error("decoding garbage as a response succeeded")
+	if _, err := DecodeFragment([]byte("definitely not gob")); err == nil {
+		t.Error("decoding garbage as a fragment succeeded")
+	}
+}
+
+// TestRPCMalformedRequestKeepsServerAlive sends requests naming nodes the
+// domain's graph lacks — an extra candidate VM, a pair's last VM. Each
+// exchange must fail leader-side with an error (the domain's errored Done
+// trailer), not crash the server process, and the same server must then
+// answer a valid request in full.
+func TestRPCMalformedRequestKeepsServerAlive(t *testing.T) {
+	network, req, opts := softLayerInstance(7)
+	addrs := startDomains(t, 1, func(int) *topology.Network { return buildSoftLayer(7) })
+	tr := NewTransport(addrs)
+	defer tr.Close()
+	pairs := chain.Pairs(req.Sources, opts.VMs)
+	valid := func() *dist.CandidateRequest {
+		return &dist.CandidateRequest{
+			CostEpoch:   network.G.CostEpoch(),
+			GraphDigest: dist.GraphDigest(network.G),
+			ChainLen:    req.ChainLen,
+			Parallelism: 1,
+			VMs:         append([]graph.NodeID(nil), opts.VMs...),
+			Pairs:       append([]chain.Pair(nil), pairs...),
+		}
+	}
+	count := func(n *int) func(*dist.CandidateFragment) error {
+		return func(f *dist.CandidateFragment) error {
+			*n += len(f.Results)
+			return nil
+		}
+	}
+	extraVM := valid()
+	extraVM.VMs = append(extraVM.VMs, 1<<20)
+	badLast := valid()
+	badLast.Pairs[0].LastVM = 1 << 20
+	for _, tc := range []struct {
+		name string
+		req  *dist.CandidateRequest
+	}{{"extra VM", extraVM}, {"last VM", badLast}} {
+		name, creq := tc.name, tc.req
+		got := 0
+		if err := tr.SendStream(context.Background(), 0, creq, count(&got)); err == nil {
+			t.Errorf("%s: SendStream accepted a request naming a node outside the graph", name)
+		}
+		if got != 0 {
+			t.Errorf("%s: %d results delivered for a malformed request", name, got)
+		}
+	}
+	got := 0
+	if err := tr.SendStream(context.Background(), 0, valid(), count(&got)); err != nil {
+		t.Fatalf("valid request after malformed ones: %v", err)
+	}
+	if got != len(pairs) {
+		t.Fatalf("valid request delivered %d of %d results", got, len(pairs))
+	}
+}
+
+// TestRPCServerClosesConnWithoutMagic opens a connection with eight bytes
+// that are not the stream magic: the server must close it without writing
+// a byte, and a well-formed leader on the same server must still embed at
+// the centralized cost.
+func TestRPCServerClosesConnWithoutMagic(t *testing.T) {
+	network, req, opts := softLayerInstance(7)
+	central, err := core.SOFDA(network.G, req, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := startDomains(t, 1, func(int) *topology.Network { return buildSoftLayer(7) })
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("NOTMAGIC")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 64))
+	if n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("non-magic connection: read %d bytes, err %v; want the server to close it unanswered (EOF)", n, err)
+	}
+
+	tr := NewTransport(addrs)
+	defer tr.Close()
+	cluster := dist.NewClusterWith(network.G, 1, dist.Config{Transport: tr, DisableFallback: true})
+	defer cluster.Close()
+	f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
+	if err != nil {
+		t.Fatalf("SOFDA after a non-magic connection: %v", err)
+	}
+	if f.TotalCost() != central.TotalCost() {
+		t.Errorf("cost %v != centralized %v", f.TotalCost(), central.TotalCost())
 	}
 }

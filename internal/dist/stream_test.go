@@ -8,12 +8,13 @@ import (
 
 	"sof/internal/chain"
 	"sof/internal/core"
+	"sof/internal/graph"
 )
 
 // TestStreamedMatchesBatchAndCentralized is the streaming correctness
 // claim: on the 4-seed × 3-domain-count matrix, the server-streamed
 // fragment exchange — with pruning armed and disarmed — costs exactly
-// what the batch exchange and the centralized solver cost.
+// what the centralized solver costs, and every run moves fragments.
 func TestStreamedMatchesBatchAndCentralized(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts := softLayerInstance(seed)
@@ -23,10 +24,7 @@ func TestStreamedMatchesBatchAndCentralized(t *testing.T) {
 		}
 		for _, domains := range []int{1, 3, 5} {
 			for _, disablePrune := range []bool{false, true} {
-				cluster := NewClusterWith(net.G, domains, Config{
-					Streaming:      true,
-					DisablePruning: disablePrune,
-				})
+				cluster := NewClusterWith(net.G, domains, Config{DisablePruning: disablePrune})
 				f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 				if err != nil {
 					cluster.Close()
@@ -41,7 +39,7 @@ func TestStreamedMatchesBatchAndCentralized(t *testing.T) {
 				}
 				st := cluster.StreamStats()
 				if st.StreamedFragments == 0 || st.StreamedResults == 0 {
-					t.Errorf("seed %d domains %d prune=%v: no stream counters (%+v) — the exchange ran in batch mode",
+					t.Errorf("seed %d domains %d prune=%v: no stream counters (%+v)",
 						seed, domains, !disablePrune, st)
 				}
 				cluster.Close()
@@ -52,53 +50,39 @@ func TestStreamedMatchesBatchAndCentralized(t *testing.T) {
 
 // TestStreamedPruneOnOffIdenticalCost is the prune-safety property pinned
 // directly: across seeds and domain counts, prune-on and prune-off runs
-// of BOTH join modes (the batch exchange routes through the same pruning
-// builder since the leader's join unification) agree on the forest cost
-// bit for bit, and pruning actually fires in each mode on at least one
-// instance — the rule is doing work, not vacuously passing.
+// agree on the forest cost bit for bit, and pruning actually fires on at
+// least one instance — the rule is doing work, not vacuously passing.
 func TestStreamedPruneOnOffIdenticalCost(t *testing.T) {
-	prunedByMode := make(map[string]uint64)
+	var pruned, prunedDisabled uint64
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts := softLayerInstance(seed)
 		for _, domains := range []int{1, 3, 5} {
-			costs := make(map[string]float64)
-			for _, mode := range []struct {
-				name string
-				cfg  Config
-			}{
-				{"batch", Config{}},
-				{"batch-noprune", Config{DisablePruning: true}},
-				{"stream-prune", Config{Streaming: true}},
-				{"stream-noprune", Config{Streaming: true, DisablePruning: true}},
-			} {
-				cluster := NewClusterWith(net.G, domains, mode.cfg)
+			var costs [2]float64
+			for i, disable := range []bool{false, true} {
+				cluster := NewClusterWith(net.G, domains, Config{DisablePruning: disable})
 				f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 				if err != nil {
 					cluster.Close()
-					t.Fatalf("seed %d domains %d %s: %v", seed, domains, mode.name, err)
+					t.Fatalf("seed %d domains %d prune=%v: %v", seed, domains, !disable, err)
 				}
-				costs[mode.name] = f.TotalCost()
-				prunedByMode[mode.name] += cluster.StreamStats().PrunedCandidates
+				costs[i] = f.TotalCost()
+				if disable {
+					prunedDisabled += cluster.StreamStats().PrunedCandidates
+				} else {
+					pruned += cluster.StreamStats().PrunedCandidates
+				}
 				cluster.Close()
 			}
-			base := costs["batch"]
-			for name, c := range costs {
-				if c != base {
-					t.Errorf("seed %d domains %d: %s cost diverged: %v", seed, domains, name, costs)
-					break
-				}
+			if costs[0] != costs[1] {
+				t.Errorf("seed %d domains %d: prune-on cost %v != prune-off cost %v", seed, domains, costs[0], costs[1])
 			}
 		}
 	}
-	for _, mode := range []string{"batch", "stream-prune"} {
-		if prunedByMode[mode] == 0 {
-			t.Errorf("%s pruning never fired across the whole matrix; the property test is vacuous for it", mode)
-		}
+	if pruned == 0 {
+		t.Error("pruning never fired across the whole matrix; the property test is vacuous")
 	}
-	for _, mode := range []string{"batch-noprune", "stream-noprune"} {
-		if prunedByMode[mode] != 0 {
-			t.Errorf("%s reported %d pruned candidates with pruning disabled", mode, prunedByMode[mode])
-		}
+	if prunedDisabled != 0 {
+		t.Errorf("reported %d pruned candidates with pruning disabled", prunedDisabled)
 	}
 }
 
@@ -209,10 +193,10 @@ func TestAnswerStreamStampsLiveEpoch(t *testing.T) {
 	}
 }
 
-// partialStreamTransport delivers fragments normally until failAfter
+// cutTransport delivers fragments normally until failAfter
 // results have crossed, then kills the stream — the shape of a domain
-// that crashes mid-exchange. Send (the batch form) stays healthy.
-type partialStreamTransport struct {
+// that crashes mid-exchange.
+type cutTransport struct {
 	inner     *ChannelTransport
 	failAfter int32
 	seen      atomic.Int32
@@ -220,11 +204,7 @@ type partialStreamTransport struct {
 
 var errStreamCut = errors.New("injected mid-stream failure")
 
-func (p *partialStreamTransport) Send(ctx context.Context, domainID int, req *CandidateRequest) (*CandidateResponse, error) {
-	return p.inner.Send(ctx, domainID, req)
-}
-
-func (p *partialStreamTransport) SendStream(ctx context.Context, domainID int, req *CandidateRequest, sink func(*CandidateFragment) error) error {
+func (p *cutTransport) SendStream(ctx context.Context, domainID int, req *CandidateRequest, sink func(*CandidateFragment) error) error {
 	return p.inner.SendStream(ctx, domainID, req, func(f *CandidateFragment) error {
 		if p.seen.Load() >= p.failAfter {
 			return errStreamCut
@@ -249,8 +229,8 @@ func TestStreamingPartialFailureRetriesRemainder(t *testing.T) {
 	}
 	inner := NewChannelTransport(net.G, 3, chain.Options{})
 	defer inner.Close()
-	flaky := &partialStreamTransport{inner: inner, failAfter: 5}
-	cluster := NewClusterWith(net.G, 3, Config{Transport: flaky, Streaming: true, RetryBudget: 1})
+	flaky := &cutTransport{inner: inner, failAfter: 5}
+	cluster := NewClusterWith(net.G, 3, Config{Transport: flaky, RetryBudget: 1})
 	defer cluster.Close()
 	f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 	if err != nil {
@@ -261,28 +241,57 @@ func TestStreamingPartialFailureRetriesRemainder(t *testing.T) {
 	}
 }
 
-// TestStreamingOverBatchOnlyTransportFallsBack pins the capability gate:
-// Config.Streaming over a transport without SendStream quietly uses the
-// batch exchange — same cost, zero stream counters.
-func TestStreamingOverBatchOnlyTransportFallsBack(t *testing.T) {
-	net, req, opts := softLayerInstance(5)
-	central, err := core.SOFDA(net.G, req, opts)
-	if err != nil {
-		t.Fatal(err)
+// TestAnswerStreamRejectsInvalidNodeIDs feeds a domain requests naming
+// nodes its graph does not have — a candidate VM, a pair's last VM, a
+// pair's source. Each must fail with an error before any oracle lookup
+// indexes with the ID (which would panic and, on a wire server, kill the
+// process), and the domain must still answer a valid request afterwards.
+func TestAnswerStreamRejectsInvalidNodeIDs(t *testing.T) {
+	net, req, opts := softLayerInstance(7)
+	dom := NewDomain(net.G, chain.Options{})
+	pairs := chain.Pairs(req.Sources, opts.VMs)
+	valid := func() *CandidateRequest {
+		return &CandidateRequest{
+			CostEpoch:   net.G.CostEpoch(),
+			GraphDigest: GraphDigest(net.G),
+			ChainLen:    req.ChainLen,
+			Parallelism: 1,
+			VMs:         append([]graph.NodeID(nil), opts.VMs...),
+			Pairs:       append([]chain.Pair(nil), pairs...),
+		}
 	}
-	inner := NewChannelTransport(net.G, 3, chain.Options{})
-	defer inner.Close()
-	batchOnly := &countingTransport{inner: inner, domains: make(map[int]int)}
-	cluster := NewClusterWith(net.G, 3, Config{Transport: batchOnly, Streaming: true})
-	defer cluster.Close()
-	f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
-	if err != nil {
-		t.Fatal(err)
+	const bad = graph.NodeID(1 << 20)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*CandidateRequest)
+	}{
+		{"extra VM", func(r *CandidateRequest) { r.VMs = append(r.VMs, bad) }},
+		{"last VM", func(r *CandidateRequest) { r.Pairs[0].LastVM = bad }},
+		{"negative source", func(r *CandidateRequest) { r.Pairs[len(r.Pairs)-1].Source = -2 }},
+	} {
+		name := tc.name
+		creq := valid()
+		tc.mutate(creq)
+		emitted := 0
+		err := dom.AnswerStream(context.Background(), creq, func(*CandidateFragment) error {
+			emitted++
+			return nil
+		})
+		if err == nil {
+			t.Errorf("%s: AnswerStream accepted a request naming a node outside the graph", name)
+		}
+		if emitted != 0 {
+			t.Errorf("%s: emitted %d fragments before rejecting the request", name, emitted)
+		}
 	}
-	if f.TotalCost() != central.TotalCost() {
-		t.Errorf("cost %v != centralized %v", f.TotalCost(), central.TotalCost())
+	got := 0
+	if err := dom.AnswerStream(context.Background(), valid(), func(f *CandidateFragment) error {
+		got += len(f.Results)
+		return nil
+	}); err != nil {
+		t.Fatalf("valid request after rejected ones: %v", err)
 	}
-	if st := cluster.StreamStats(); st.StreamedFragments != 0 {
-		t.Errorf("batch-only transport produced stream counters: %+v", st)
+	if got != len(pairs) {
+		t.Fatalf("valid request delivered %d of %d results", got, len(pairs))
 	}
 }
