@@ -143,8 +143,11 @@ type Options struct {
 // Entries are keyed by the graph's cost epoch: a tree computed at epoch e
 // is served only while graph.CostEpoch() == e, so cost mutations through
 // SetEdgeCost/SetNodeCost invalidate lazily — the next query at the new
-// epoch recomputes exactly the trees it touches, and an Oracle held across
+// epoch rebuilds exactly the trees it touches, and an Oracle held across
 // a stream of unchanged-cost requests keeps answering from warm state.
+// A rebuild repairs the stale tree from the graph's change journal
+// (graph.Repair) when it can, and recomputes it otherwise; both yield the
+// tree a fresh Dijkstra run would.
 type Oracle struct {
 	g      *graph.Graph
 	solver kstroll.Solver
@@ -154,11 +157,17 @@ type Oracle struct {
 	// computation through its once, so readers only hold mu for the lookup.
 	mu    sync.RWMutex
 	trees map[graph.NodeID]*treeEntry
+	// sweepAt is the map size at which the next new origin sweeps the
+	// cache; sweptEpoch is the epoch of the last sweep. Both under mu.
+	sweepAt    int
+	sweptEpoch uint64
 
 	// hits counts tree lookups answered from a current-epoch cache entry;
-	// misses counts Dijkstra computations (cold or stale-epoch lookups).
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	// misses counts trees built (cold or stale-epoch lookups), repaired
+	// counts the misses answered by repairing the stale tree.
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+	repaired atomic.Uint64
 
 	// Solved-chain memoization: Chain() results keyed by (source, last VM,
 	// chain length, candidate-set hash) within one cost epoch, with the
@@ -225,13 +234,72 @@ func hashNodes(ns []graph.NodeID) uint64 {
 }
 
 // treeEntry is a singleflight slot for one origin's Dijkstra tree at one
-// cost epoch: the first goroutine to reach the entry computes the tree
+// cost epoch: the first goroutine to reach the entry builds the tree
 // inside once, any concurrent goroutine blocks on it instead of
-// recomputing. A stale-epoch entry is replaced wholesale on next access.
+// rebuilding. A stale-epoch entry is replaced wholesale on next access;
+// the replacement carries the stale tree (prev, computed at epoch since)
+// until its own build has repaired it or given up on it.
 type treeEntry struct {
 	epoch uint64
 	once  sync.Once
-	sp    *graph.ShortestPaths
+	sp    atomic.Pointer[graph.ShortestPaths]
+	prev  *graph.ShortestPaths
+	since uint64
+}
+
+// The cache sweeps once its trees outgrow sweepBytes, and from then on
+// every sweepEvery new origins. Below the budget a session keeps every
+// tree it ever built: on a small graph all of them together cost little.
+const (
+	sweepBytes = 48 << 20
+	sweepEvery = 64
+)
+
+// treeNodeBytes is what one node costs in a shortest-path tree: a
+// float64 distance, a parent and a parent edge.
+const treeNodeBytes = 24
+
+// install publishes a fresh entry for n at epoch, succeeding cur (nil
+// for a cold origin), and carries cur's tree over for repair unless it
+// is still being built. A cold origin that grows the cache to sweepAt
+// sweeps it first. Callers hold mu for writing.
+func (o *Oracle) install(n graph.NodeID, cur *treeEntry, epoch uint64) *treeEntry {
+	e := &treeEntry{epoch: epoch}
+	if cur != nil {
+		e.prev, e.since = cur.sp.Load(), cur.epoch
+	} else if len(o.trees) >= o.sweepAt {
+		o.sweep(epoch)
+	}
+	o.trees[n] = e
+	return e
+}
+
+// sweep drops the entries no lookup has rebuilt since the previous
+// sweep. Their trees are stale, so the next lookup of such an origin
+// builds a tree — one miss — whether the entry is there or not; only the
+// chance to repair instead of recompute is lost. Without it, every
+// origin a session ever touched (each junction a failure repair grafted
+// from, say) would pin a stale tree for the session's lifetime. Callers
+// hold mu for writing.
+func (o *Oracle) sweep(epoch uint64) {
+	for n, e := range o.trees {
+		if e.epoch < o.sweptEpoch {
+			delete(o.trees, n)
+		}
+	}
+	o.sweptEpoch = epoch
+	o.sweepAt = len(o.trees) + sweepEvery
+}
+
+// fill publishes e's tree from inside e's once: one miss, plus one repair
+// when sp came from graph.Repair. It drops the carried stale tree.
+func (o *Oracle) fill(e *treeEntry, sp *graph.ShortestPaths, repaired bool) {
+	o.misses.Add(1)
+	if repaired {
+		o.repaired.Add(1)
+	}
+	e.prev = nil
+	e.sp.Store(sp)
 }
 
 // NewOracle returns an oracle over g.
@@ -241,10 +309,11 @@ func NewOracle(g *graph.Graph, opts Options) *Oracle {
 		solver = kstroll.Auto()
 	}
 	return &Oracle{
-		g:      g,
-		solver: solver,
-		opts:   opts,
-		trees:  make(map[graph.NodeID]*treeEntry),
+		g:       g,
+		solver:  solver,
+		opts:    opts,
+		trees:   make(map[graph.NodeID]*treeEntry),
+		sweepAt: max(sweepEvery, sweepBytes/max(1, treeNodeBytes*g.NumNodes())),
 	}
 }
 
@@ -263,21 +332,25 @@ func (o *Oracle) tree(n graph.NodeID) *graph.ShortestPaths {
 		// before it (the costs Dijkstra reads are the post-mutation ones).
 		epoch = o.g.CostEpoch()
 		if e, ok = o.trees[n]; !ok || e.epoch != epoch {
-			e = &treeEntry{epoch: epoch}
-			o.trees[n] = e
+			e = o.install(n, e, epoch)
 		}
 		o.mu.Unlock()
 	}
 	hit := true
 	e.once.Do(func() {
 		hit = false
-		o.misses.Add(1)
-		e.sp = graph.Dijkstra(o.g, n)
+		if e.prev != nil {
+			if sp := graph.Repair(o.g, e.prev, e.since, nil); sp != nil {
+				o.fill(e, sp, true)
+				return
+			}
+		}
+		o.fill(e, graph.Dijkstra(o.g, n), false)
 	})
 	if hit {
 		o.hits.Add(1)
 	}
-	return e.sp
+	return e.sp.Load()
 }
 
 // Tree returns the oracle's cached shortest-path tree rooted at n,
@@ -292,25 +365,28 @@ func (o *Oracle) tree(n graph.NodeID) *graph.ShortestPaths {
 // scratch copy must take one themselves.
 func (o *Oracle) Tree(n graph.NodeID) *graph.ShortestPaths { return o.tree(n) }
 
-// WarmTrees computes the shortest-path trees of every origin in origins
-// that is not already cached at the current epoch, in batched Dijkstra
-// passes (one shared arena and CSR fetch per chunk) instead of one pooled
-// run per origin. It returns the number of trees computed here. Origins
-// whose tree another goroutine is already computing are skipped — the
-// singleflight entry covers them.
+// WarmTrees builds the shortest-path trees of every origin in origins
+// that is not already cached at the current epoch: stale trees the
+// graph's journal covers are repaired, the rest are computed in batched
+// Dijkstra passes (one shared arena and CSR fetch per chunk) instead of
+// one pooled run per origin. It returns the number of trees built here.
+// Origins whose tree another goroutine is already building are skipped —
+// the singleflight entry covers them.
 //
-// Warming is miss-neutral: each tree computed here counts as exactly the
+// Warming is miss-neutral: each tree built here counts as exactly the
 // one cache miss the first demand lookup would have charged, so
 // miss-count invariants (and the benchmarks gating on them) see the same
 // totals whether a session warms or faults trees in.
 //
 // ctx is checked between chunks: on cancellation the remaining entries
-// are left unfulfilled, and the next demand lookup computes them through
+// are left unfulfilled, and the next demand lookup builds them through
 // the usual singleflight path.
 func (o *Oracle) WarmTrees(ctx context.Context, origins []graph.NodeID) int {
 	type slot struct {
-		n graph.NodeID
-		e *treeEntry
+		n     graph.NodeID
+		e     *treeEntry
+		prev  *graph.ShortestPaths
+		since uint64
 	}
 	var pending []slot
 	seen := make(map[graph.NodeID]bool, len(origins))
@@ -328,9 +404,10 @@ func (o *Oracle) WarmTrees(ctx context.Context, origins []graph.NodeID) int {
 		if ok && e.epoch == epoch {
 			continue
 		}
-		e = &treeEntry{epoch: epoch}
-		o.trees[n] = e
-		pending = append(pending, slot{n: n, e: e})
+		e = o.install(n, e, epoch)
+		// The slot keeps its own copy of the carried tree: the entry's
+		// field belongs to whichever goroutine runs its once.
+		pending = append(pending, slot{n: n, e: e, prev: e.prev, since: e.since})
 	}
 	o.mu.Unlock()
 	if len(pending) == 0 {
@@ -339,27 +416,40 @@ func (o *Oracle) WarmTrees(ctx context.Context, origins []graph.NodeID) int {
 	const chunk = 16
 	arena := graph.NewArena()
 	batch := make([]graph.NodeID, 0, chunk)
+	cold := make([]slot, 0, chunk)
 	computed := 0
 	for lo := 0; lo < len(pending); lo += chunk {
 		if ctx != nil && ctx.Err() != nil {
 			// Abandoned entries stay published with an unfired once; the
-			// next Tree() call on them computes as usual.
+			// next Tree() call on them builds as usual.
 			return computed
 		}
 		hi := lo + chunk
 		if hi > len(pending) {
 			hi = len(pending)
 		}
-		batch = batch[:0]
+		batch, cold = batch[:0], cold[:0]
 		for _, s := range pending[lo:hi] {
+			if s.prev != nil {
+				if sp := graph.Repair(o.g, s.prev, s.since, arena); sp != nil {
+					s.e.once.Do(func() {
+						o.fill(s.e, sp, true)
+						computed++
+					})
+					continue
+				}
+			}
 			batch = append(batch, s.n)
+			cold = append(cold, s)
+		}
+		if len(batch) == 0 {
+			continue
 		}
 		sps := graph.DijkstraBatch(o.g, batch, arena)
-		for i, s := range pending[lo:hi] {
+		for i, s := range cold {
 			sp := sps[i]
 			s.e.once.Do(func() {
-				o.misses.Add(1)
-				s.e.sp = sp
+				o.fill(s.e, sp, false)
 				computed++
 			})
 		}
@@ -368,14 +458,18 @@ func (o *Oracle) WarmTrees(ctx context.Context, origins []graph.NodeID) int {
 }
 
 // CacheStats is a point-in-time snapshot of the oracle's cache counters.
-// Misses equals the number of Dijkstra computations performed; Hits counts
-// tree lookups answered from a current-epoch entry (including waiters
-// that shared an in-flight computation). ChainMisses counts k-stroll
-// solves (each one instance build + solve + materialization); ChainHits
-// counts Chain() calls answered from a current-epoch solved-chain entry.
+// Misses counts the shortest-path trees built, full or repaired: one per
+// cold or stale-epoch origin. Repaired counts the misses answered by
+// repairing the stale tree from the graph's change journal instead of a
+// full Dijkstra run. Hits counts tree lookups answered from a
+// current-epoch entry (including waiters that shared an in-flight build).
+// ChainMisses counts k-stroll solves (each one instance build + solve +
+// materialization); ChainHits counts Chain() calls answered from a
+// current-epoch solved-chain entry.
 type CacheStats struct {
 	Hits        uint64
 	Misses      uint64
+	Repaired    uint64
 	ChainHits   uint64
 	ChainMisses uint64
 }
@@ -387,6 +481,7 @@ func (o *Oracle) Stats() CacheStats {
 	return CacheStats{
 		Hits:        o.hits.Load(),
 		Misses:      o.misses.Load(),
+		Repaired:    o.repaired.Load(),
 		ChainHits:   o.chainHits.Load(),
 		ChainMisses: o.chainMiss.Load(),
 	}
@@ -394,11 +489,13 @@ func (o *Oracle) Stats() CacheStats {
 
 // InvalidateCache marks every cached shortest-path tree stale by advancing
 // the graph's cost epoch; entries are replaced lazily as queries touch
-// them. Explicit calls are only needed after cost mutations that bypass
-// SetEdgeCost/SetNodeCost (those bump the epoch themselves). Note the bump
-// is visible to every epoch-keyed cache over the same graph, not just this
-// oracle. Queries already in flight may finish against the trees they have
-// resolved; queries started afterwards see fresh trees.
+// them, each by a full Dijkstra run (an explicit bump journals no change
+// a repair could work from). Explicit calls are only needed after cost
+// mutations that bypass SetEdgeCost/SetNodeCost (those bump the epoch
+// themselves). Note the bump is visible to every epoch-keyed cache over
+// the same graph, not just this oracle. Queries already in flight may
+// finish against the trees they have resolved; queries started
+// afterwards see fresh trees.
 func (o *Oracle) InvalidateCache() {
 	o.g.BumpCostEpoch()
 }

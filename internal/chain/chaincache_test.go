@@ -291,7 +291,7 @@ func (p *poisoningSolver) Solve(in *kstroll.Instance) (*kstroll.Walk, error) {
 		sp.ParentEdge[i] = graph.NoEdge
 	}
 	e := &treeEntry{epoch: p.o.g.CostEpoch()}
-	e.once.Do(func() { e.sp = sp })
+	e.once.Do(func() { e.sp.Store(sp) })
 	p.o.mu.Lock()
 	p.o.trees[p.victim] = e
 	p.o.mu.Unlock()

@@ -18,6 +18,10 @@ type ShortestPaths struct {
 	Parent []NodeID
 	// ParentEdge[v] is the edge used to reach v from Parent[v].
 	ParentEdge []EdgeID
+	// edges is the graph's edge count when the tree was computed. Adding
+	// edges does not advance the cost epoch, so Repair checks it to refuse
+	// a tree of an earlier topology.
+	edges int
 }
 
 // Reachable reports whether t is reachable from the source.
@@ -59,13 +63,13 @@ func (sp *ShortestPaths) EdgesTo(t NodeID) []EdgeID {
 
 // Arena is the reusable scratch state of the SSSP core: the indexed heap
 // (whose position index self-restores on drain), the delta-stepping
-// scratch for large graphs, and a generation-stamped settled marker, so
-// one arena is ready for the next run without any O(n) reset. Batch
-// callers that fan many runs out (the chain oracle's tree warming, KMB's
-// closure phase) hold one Arena across the whole batch instead of a pool
-// round-trip per source. The result arrays are NOT part of the arena —
-// callers (the chain oracle in particular) retain ShortestPaths
-// indefinitely.
+// scratch for large graphs, the tree-repair marks, and a
+// generation-stamped settled marker, so one arena is ready for the next
+// run without any O(n) reset. Batch callers that fan many runs out (the
+// chain oracle's tree warming, KMB's closure phase) hold one Arena across
+// the whole batch instead of a pool round-trip per source. The result
+// arrays are NOT part of the arena — callers (the chain oracle in
+// particular) retain ShortestPaths indefinitely.
 //
 // An Arena is not safe for concurrent use; concurrent runs take separate
 // arenas (or pass nil and share the pool).
@@ -74,6 +78,7 @@ type Arena struct {
 	done []uint64
 	gen  uint64
 	ds   deltaScratch
+	rep  repairScratch
 }
 
 // NewArena returns an empty arena. Passing nil to DijkstraBatch borrows
@@ -133,6 +138,7 @@ func Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 		Dist:       make([]float64, n),
 		Parent:     make([]NodeID, n),
 		ParentEdge: make([]EdgeID, n),
+		edges:      g.NumEdges(),
 	}
 	a.ensure(n)
 	if lay := pick(g); lay != nil {
@@ -184,7 +190,7 @@ func dijkstraBatchWith(g *Graph, sources []NodeID, a *Arena, lay *deltaLayout) [
 	pedge := make([]EdgeID, k*n)
 	for i, s := range uniq {
 		sp := &sps[i]
-		sp.Source = s
+		sp.Source, sp.edges = s, g.NumEdges()
 		sp.Dist = dist[i*n : (i+1)*n : (i+1)*n]
 		sp.Parent = parent[i*n : (i+1)*n : (i+1)*n]
 		sp.ParentEdge = pedge[i*n : (i+1)*n : (i+1)*n]

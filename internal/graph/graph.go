@@ -106,6 +106,9 @@ type Graph struct {
 	// mean the graph is fully open, which is the steady state the
 	// traversal hot loops are optimized for.
 	block blockState
+	// jr journals what each epoch advance changed, so stale shortest-path
+	// trees can be repaired instead of recomputed (see journal.go).
+	jr journal
 }
 
 // New returns an empty graph with capacity hints.
@@ -156,6 +159,9 @@ func (g *Graph) AddEdge(u, v NodeID, cost float64) (EdgeID, error) {
 	g.edges = append(g.edges, Edge{U: u, V: v, Cost: cost})
 	g.adj[u] = append(g.adj[u], Arc{To: v, Edge: id})
 	g.adj[v] = append(g.adj[v], Arc{To: u, Edge: id})
+	if cost == 0 {
+		g.jr.zero++
+	}
 	return id, nil
 }
 
@@ -190,24 +196,49 @@ func (g *Graph) EdgeCost(id EdgeID) float64 { return g.edges[id].Cost }
 // SetNodeCost updates the setup cost of a node (used by load-aware pricing).
 // The cost epoch advances only when the value actually changes, so blanket
 // re-pricing passes that rewrite unchanged costs keep epoch-keyed caches
-// warm.
-func (g *Graph) SetNodeCost(id NodeID, cost float64) {
-	if g.nodes[id].Cost == cost {
-		return
+// warm. An id out of range, or a negative or NaN cost, is an error that
+// leaves the cost and the epoch unchanged.
+func (g *Graph) SetNodeCost(id NodeID, cost float64) error {
+	if !g.Valid(id) {
+		return fmt.Errorf("graph: node %d out of range with %d nodes", id, len(g.nodes))
 	}
+	if cost < 0 || math.IsNaN(cost) {
+		return fmt.Errorf("graph: invalid node cost %v on node %d", cost, id)
+	}
+	if g.nodes[id].Cost == cost {
+		return nil
+	}
+	g.jr.mu.Lock()
 	g.nodes[id].Cost = cost
-	g.epoch.Add(1)
+	g.bumpLocked(change{kind: changeNodeCost, id: int32(id)})
+	g.jr.mu.Unlock()
+	return nil
 }
 
 // SetEdgeCost updates the connection cost of an edge (used by load-aware
 // pricing). Like SetNodeCost, it advances the cost epoch only on an actual
-// change.
-func (g *Graph) SetEdgeCost(id EdgeID, cost float64) {
-	if g.edges[id].Cost == cost {
-		return
+// change, and rejects an id out of range or a negative or NaN cost.
+func (g *Graph) SetEdgeCost(id EdgeID, cost float64) error {
+	if !g.ValidEdge(id) {
+		return fmt.Errorf("graph: edge %d out of range with %d edges", id, len(g.edges))
 	}
+	if cost < 0 || math.IsNaN(cost) {
+		return fmt.Errorf("graph: invalid edge cost %v on edge %d", cost, id)
+	}
+	old := g.edges[id].Cost
+	if old == cost {
+		return nil
+	}
+	g.jr.mu.Lock()
 	g.edges[id].Cost = cost
-	g.epoch.Add(1)
+	if old == 0 {
+		g.jr.zero--
+	} else if cost == 0 {
+		g.jr.zero++
+	}
+	g.bumpLocked(change{kind: changeEdge, id: int32(id)})
+	g.jr.mu.Unlock()
+	return nil
 }
 
 // CostEpoch returns the current cost generation. Derived state (shortest-
@@ -219,7 +250,7 @@ func (g *Graph) CostEpoch() uint64 { return g.epoch.Load() }
 // epoch-keyed cache over this graph without touching any of them. It exists
 // for callers that mutated costs through means the setters cannot see, or
 // that want an explicit full invalidation.
-func (g *Graph) BumpCostEpoch() { g.epoch.Add(1) }
+func (g *Graph) BumpCostEpoch() { g.bump(change{kind: changeAll}) }
 
 // Adj returns the adjacency list of n. The returned slice must not be
 // modified by the caller.
@@ -278,6 +309,12 @@ func (g *Graph) Clone() *Graph {
 		out.adj[i] = append([]Arc(nil), a...)
 	}
 	out.epoch.Store(g.epoch.Load())
+	// The clone's journal starts empty at its own epoch: g's records
+	// are not the clone's history, so a tree older than the clone falls
+	// back to a full run.
+	g.jr.mu.Lock()
+	out.jr.base, out.jr.zero = out.epoch.Load(), g.jr.zero
+	g.jr.mu.Unlock()
 	// Failure/mask snapshots are immutable, so the clone can share the
 	// current ones; its own Fail/Restore/Mask calls publish fresh
 	// snapshots.

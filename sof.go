@@ -139,12 +139,14 @@ func (n *Network) Graph() *graph.Graph { return n.g }
 // cached shortest-path state over this network becomes stale — it is
 // refreshed lazily, one tree at a time, as the next embeds touch it.
 // Setting a cost to its current value is a no-op and keeps caches warm.
-func (n *Network) SetLinkCost(e EdgeID, cost float64) { n.g.SetEdgeCost(e, cost) }
+// An unknown link, or a negative or NaN cost, is an error that changes
+// nothing.
+func (n *Network) SetLinkCost(e EdgeID, cost float64) error { return n.g.SetEdgeCost(e, cost) }
 
-// SetVMCost updates a VM's setup cost, with the same epoch semantics as
-// SetLinkCost: only an actual change invalidates (lazily) the session
-// caches.
-func (n *Network) SetVMCost(v NodeID, cost float64) { n.g.SetNodeCost(v, cost) }
+// SetVMCost updates a VM's setup cost, with the same epoch semantics and
+// the same validation as SetLinkCost: only an actual change invalidates
+// (lazily) the session caches.
+func (n *Network) SetVMCost(v NodeID, cost float64) error { return n.g.SetNodeCost(v, cost) }
 
 // VMs lists the VM nodes.
 func (n *Network) VMs() []NodeID { return n.g.VMs() }

@@ -94,6 +94,37 @@ func TestPublicAPIErrors(t *testing.T) {
 	}
 }
 
+// TestSetCostRejectsInvalid: the public cost setters refuse NaN, negative
+// costs and unknown ids, leaving the cost and the session caches' epoch
+// untouched.
+func TestSetCostRejectsInvalid(t *testing.T) {
+	net, _, _ := buildLine(t)
+	g := net.Graph()
+	epoch := g.CostEpoch()
+	link, vm := EdgeID(0), g.VMs()[0]
+	linkCost, vmCost := g.EdgeCost(link), g.NodeCost(vm)
+	for _, bad := range []float64{math.NaN(), -7} {
+		if err := net.SetLinkCost(link, bad); err == nil {
+			t.Errorf("SetLinkCost(%v) accepted", bad)
+		}
+		if err := net.SetVMCost(vm, bad); err == nil {
+			t.Errorf("SetVMCost(%v) accepted", bad)
+		}
+	}
+	if err := net.SetLinkCost(EdgeID(g.NumEdges()), 1); err == nil {
+		t.Error("SetLinkCost on an unknown link accepted")
+	}
+	if err := net.SetVMCost(NodeID(g.NumNodes()), 1); err == nil {
+		t.Error("SetVMCost on an unknown node accepted")
+	}
+	if g.CostEpoch() != epoch || g.EdgeCost(link) != linkCost || g.NodeCost(vm) != vmCost {
+		t.Fatal("rejected writes changed the network")
+	}
+	if err := net.SetLinkCost(link, 4); err != nil || g.CostEpoch() != epoch+1 {
+		t.Fatalf("valid write: err %v, epoch %d→%d", err, epoch, g.CostEpoch())
+	}
+}
+
 func TestPublicAPIDynamics(t *testing.T) {
 	b := NewNetworkBuilder()
 	s := b.AddSwitch("s")

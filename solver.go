@@ -129,13 +129,15 @@ func NewSolver(net *Network, opts ...Option) *Solver {
 func (s *Solver) Network() *Network { return s.net }
 
 // CacheStats is a snapshot of the session's cache counters: Misses counts
-// Dijkstra computations and Hits tree queries answered from a
+// shortest-path trees built, full or repaired, Repaired the misses
+// answered by repairing a stale tree from the network's change journal
+// instead of a full Dijkstra run, and Hits tree queries answered from a
 // current-epoch cache entry; ChainMisses counts k-stroll solves and
 // ChainHits candidate-chain queries answered from the solved-chain memo.
 type CacheStats = chain.CacheStats
 
 // CacheStats reports the session oracle's hit/miss counters. Misses is
-// the total number of Dijkstra computations the session has paid and
+// the total number of trees the session has built (full or repaired) and
 // ChainMisses the total number of k-stroll solves — the two quantities
 // the warm-cache benchmarks compare; ChainHits/(ChainHits+ChainMisses)
 // is the solved-chain cache hit rate.
