@@ -72,7 +72,7 @@ func benchSweepPoint(b *testing.B, kind exp.NetKind, withOpt bool) {
 			ChainLen: exp.DefaultChain,
 		}
 		opts := &core.Options{VMs: net.VMs}
-		f, err := core.SOFDA(net.G, req, opts)
+		f, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func BenchmarkFig11SetupCost(b *testing.B) {
 					Dests:    net.RandomNodes(rng, exp.DefaultDests),
 					ChainLen: exp.DefaultChain,
 				}
-				f, err := core.SOFDA(net.G, req, &core.Options{VMs: net.VMs})
+				f, err := core.SOFDACtx(context.Background(), net.G, req, &core.Options{VMs: net.VMs})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -158,7 +158,7 @@ func BenchmarkTable1Runtime(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SOFDA(net.G, req, &core.Options{VMs: net.VMs}); err != nil {
+				if _, err := core.SOFDACtx(context.Background(), net.G, req, &core.Options{VMs: net.VMs}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -212,7 +212,7 @@ func BenchmarkSOFDAParallelism(b *testing.B) {
 	for _, par := range parallelismLevels() {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SOFDA(net.G, req, &core.Options{VMs: net.VMs, Parallelism: par}); err != nil {
+				if _, err := core.SOFDACtx(context.Background(), net.G, req, &core.Options{VMs: net.VMs, Parallelism: par}); err != nil {
 					b.Fatal(err)
 				}
 			}

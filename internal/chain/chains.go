@@ -24,7 +24,7 @@ type Result struct {
 }
 
 // Pairs enumerates the candidate (source, lastVM) pairs of Procedure 3 in
-// the canonical order buildAuxGraph iterates them: sources outermost (with
+// the canonical order SOFDA feeds them into Ĝ: sources outermost (with
 // multiplicity), VMs innermost, skipping self-pairs. The distributed
 // leader relies on this order to reproduce the centralized auxiliary graph
 // bit for bit.

@@ -37,22 +37,15 @@ func auxBuilderInstance(t *testing.T, seed int64) (*topology.Network, Request, *
 }
 
 // TestAuxBuilderMatchesBatchPath feeds the centralized candidate set
-// through the incremental builder one chain at a time — with and without
-// pruning — and pins the forest cost to SOFDAFromCandidates and to the
-// direct SOFDA solve.
+// through the builder one chain at a time — with and without pruning —
+// and pins the forest cost to the direct SOFDACtx solve, which builds Ĝ
+// from the oracle's whole candidate batch.
 func TestAuxBuilderMatchesBatchPath(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts, candidates := auxBuilderInstance(t, seed)
-		direct, err := SOFDA(net.G, req, opts)
+		direct, err := SOFDACtx(context.Background(), net.G, req, opts)
 		if err != nil {
 			t.Fatalf("seed %d: SOFDA: %v", seed, err)
-		}
-		batch, err := SOFDAFromCandidates(net.G, req, opts, candidates)
-		if err != nil {
-			t.Fatalf("seed %d: batch from candidates: %v", seed, err)
-		}
-		if batch.TotalCost() != direct.TotalCost() {
-			t.Errorf("seed %d: batch-from-candidates %v != SOFDA %v", seed, batch.TotalCost(), direct.TotalCost())
 		}
 		for _, prune := range []bool{false, true} {
 			b, err := NewAuxGraphBuilder(context.Background(), net.G, req, opts)
@@ -153,7 +146,16 @@ func TestDominatedPairNeverEntersAuxGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := SOFDAFromCandidates(g, req, nil, []*chain.ServiceChain{chainNear, chainFar})
+	unpruned, err := NewAuxGraphBuilder(context.Background(), g, req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []*chain.ServiceChain{chainNear, chainFar} {
+		if ok, err := unpruned.AddCandidate(sc); err != nil || !ok {
+			t.Fatalf("unpruned builder refused a candidate: ok=%v err=%v", ok, err)
+		}
+	}
+	full, err := unpruned.Complete(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +188,30 @@ func TestAuxBuilderRejectsForeignChains(t *testing.T) {
 	if _, err := b.AddCandidate(foreign); err == nil {
 		t.Error("chain from a non-source admitted")
 	}
-	// Wrong-length chains are skipped, not errors (mirrors the batch path).
+	// Wrong-length chains are skipped, not errors.
 	short := candidates[0].Clone()
 	short.VMs = short.VMs[:1]
 	if ok, err := b.AddCandidate(short); err != nil || ok {
 		t.Errorf("wrong-length chain: ok=%v err=%v, want skipped", ok, err)
 	}
-	if _, err := NewAuxGraphBuilder(context.Background(), net.G, Request{Sources: req.Sources, Dests: req.Dests, ChainLen: 0}, opts); err == nil {
-		t.Error("builder accepted chainLen 0")
+	// chainLen 0: the skeleton alone wires every source, every chain is
+	// the wrong length, and Complete solves the plain Steiner forest.
+	flat := Request{Sources: req.Sources, Dests: req.Dests, ChainLen: 0}
+	b0, err := NewAuxGraphBuilder(context.Background(), net.G, flat, opts)
+	if err != nil {
+		t.Fatalf("builder refused chainLen 0: %v", err)
+	}
+	if ok, err := b0.AddCandidate(candidates[0]); err != nil || ok {
+		t.Errorf("chain fed at chainLen 0: ok=%v err=%v, want skipped", ok, err)
+	}
+	f, err := b0.Complete(context.Background())
+	if err != nil {
+		t.Fatalf("chainLen 0 Complete: %v", err)
+	}
+	if err := f.Validate(flat.Sources, flat.Dests); err != nil {
+		t.Fatalf("chainLen 0 forest: %v", err)
+	}
+	if len(f.UsedVMs()) != 0 {
+		t.Errorf("chainLen 0 forest installs VNFs on %v", f.UsedVMs())
 	}
 }

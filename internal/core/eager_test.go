@@ -35,12 +35,12 @@ func feedEager(t *testing.T, b *AuxGraphBuilder, req Request, vms []graph.NodeID
 // TestEagerCompleteMatchesInline is the eager-mode correctness claim: for
 // every seed, pruning on and off, a builder whose per-source refinements
 // ran eagerly (launched as each source's last candidate was delivered)
-// lands on the bit-identical forest cost of the plain builder and of the
-// centralized solve.
+// lands on the bit-identical forest cost of the centralized solve, which
+// runs the same builder with inline refinement.
 func TestEagerCompleteMatchesInline(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts, _ := auxBuilderInstance(t, seed)
-		direct, err := SOFDA(net.G, req, opts)
+		direct, err := SOFDACtx(context.Background(), net.G, req, opts)
 		if err != nil {
 			t.Fatalf("seed %d: SOFDA: %v", seed, err)
 		}
@@ -143,10 +143,10 @@ func TestEagerOverlapAccounting(t *testing.T) {
 // TestEagerLastDeliveryLaunch pins the "terminal completes last" edge:
 // when a source's final candidate is the very last delivery before
 // Complete, its refinement still launches (and is awaited), never lost —
-// the forest matches the plain builder exactly.
+// the forest matches the inline (non-eager) solve exactly.
 func TestEagerLastDeliveryLaunch(t *testing.T) {
-	net, req, opts, candidates := auxBuilderInstance(t, 23)
-	plain, err := SOFDAFromCandidates(net.G, req, opts, candidates)
+	net, req, opts, _ := auxBuilderInstance(t, 23)
+	plain, err := SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestEagerLastDeliveryLaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f.TotalCost() != plain.TotalCost() {
-		t.Errorf("eager cost %v != plain builder %v", f.TotalCost(), plain.TotalCost())
+		t.Errorf("eager cost %v != inline SOFDA %v", f.TotalCost(), plain.TotalCost())
 	}
 	if len(b.eagerRuns) != len(b.aux.srcDup) {
 		t.Errorf("%d eager runs for %d sources; the last-delivery launch was lost",

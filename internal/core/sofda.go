@@ -27,11 +27,8 @@ type auxGraph struct {
 	vmDup  map[graph.NodeID]graph.NodeID
 	// chains maps a virtual EdgeID to its candidate service chain.
 	chains map[graph.EdgeID]*chain.ServiceChain
-	// emm maps û back to its real VM u.
-	dupToVM map[graph.NodeID]graph.NodeID
-	// origNodes is the node count of the original graph; nodes below this
+	// origEdges is the edge count of the original graph; edges below this
 	// threshold are real.
-	origNodes int
 	origEdges int
 }
 
@@ -39,17 +36,14 @@ type auxGraph struct {
 // network clone, ŝ, the source and VM duplicates, and their zero-cost
 // structural edges. For chainLen == 0 the sources connect to their
 // duplicates directly (the problem degenerates to a Steiner forest) and no
-// VM duplicates exist. Candidate edges are added afterwards — all at once
-// by the batch builders, or one at a time by AuxGraphBuilder as a
-// streamed candidate arrives.
+// VM duplicates exist. Candidate edges are added afterwards, one at a time,
+// by AuxGraphBuilder.AddCandidate.
 func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *auxGraph {
 	aux := &auxGraph{
 		g:         g.Clone(),
 		srcDup:    make(map[graph.NodeID]graph.NodeID, len(sources)),
 		vmDup:     make(map[graph.NodeID]graph.NodeID, len(vms)),
 		chains:    make(map[graph.EdgeID]*chain.ServiceChain),
-		dupToVM:   make(map[graph.NodeID]graph.NodeID, len(vms)),
-		origNodes: g.NumNodes(),
 		origEdges: g.NumEdges(),
 	}
 	aux.sHat = aux.g.AddSwitch("ŝ")
@@ -74,48 +68,17 @@ func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *
 		}
 		d := aux.g.AddSwitch(fmt.Sprintf("vm-dup-%d", u))
 		aux.vmDup[u] = d
-		aux.dupToVM[d] = u
 		aux.g.MustAddEdge(d, u, 0)
 	}
 	return aux
 }
 
-// buildAuxGraph constructs Ĝ. For chainLen == 0 the sources connect to
-// their duplicates directly (the problem degenerates to a Steiner forest).
-// Candidate chains for all (source, last VM) pairs are generated
-// concurrently through the oracle's fan-out pool; infeasible pairs
-// (unreachable or too few VMs) are skipped.
-func buildAuxGraph(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, sources, vms []graph.NodeID, chainLen, parallelism int) (*auxGraph, error) {
-	aux := newAuxSkeleton(g, sources, vms, chainLen)
-	if chainLen == 0 {
-		return aux, nil
-	}
-	results, err := oracle.Chains(ctx, vms, chain.Pairs(sources, vms), chainLen, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	feasible := 0
-	for _, r := range results {
-		if r.Err != nil {
-			continue // unreachable or too few VMs via this pair
-		}
-		id := aux.g.MustAddEdge(aux.srcDup[r.Pair.Source], aux.vmDup[r.Pair.LastVM], r.Chain.TotalCost())
-		aux.chains[id] = r.Chain
-		feasible++
-	}
-	if feasible == 0 {
-		return nil, errors.New("core: no feasible candidate service chain for any (source, last VM) pair")
-	}
-	return aux, nil
-}
-
-// AuxGraphBuilder assembles Ĝ incrementally from candidate chains as they
-// arrive: the streaming distributed leader (Section VI) feeds it fragment
-// by fragment instead of gathering every domain's batch first, and
-// finalizes into the same completion path SOFDAFromCandidatesCtx uses.
-// Feed candidates with AddCandidate in the centralized enumeration order
-// and finish with Complete; the resulting forest is identical to handing
-// the same candidates to SOFDAFromCandidatesCtx at once.
+// AuxGraphBuilder is the one way Ĝ is built and completed. Centralized
+// SOFDACtx feeds it the oracle's candidate chains in enumeration order; the
+// streaming distributed leader (Section VI) feeds it fragment by fragment
+// as the domains answer, restoring the same order. Feed candidates with
+// AddCandidate and finish with Complete; equal candidate streams give
+// identical forests.
 //
 // With EnablePruning, dominated candidates are rejected on arrival and
 // never allocate aux-graph state (no edge, no chain entry, no CSR growth).
@@ -152,6 +115,10 @@ type AuxGraphBuilder struct {
 	destTrees map[graph.NodeID]*graph.ShortestPaths
 	mst       map[graph.NodeID]float64
 	accepted  map[graph.NodeID][]auxCand
+	// srcCands holds each source's admitted candidates in Ĝ insertion
+	// order. The per-source refinement reads this snapshot instead of Ĝ,
+	// so an eager run never touches the concurrently growing aux graph.
+	srcCands map[graph.NodeID][]srcCand
 
 	added, pruned int
 
@@ -166,7 +133,6 @@ type AuxGraphBuilder struct {
 	// phase would.
 	eager      bool
 	expect     map[graph.NodeID]int
-	srcCands   map[graph.NodeID][]srcCand
 	eagerRuns  map[graph.NodeID]*eagerRun
 	eagerWG    sync.WaitGroup
 	destWarmed int
@@ -182,8 +148,7 @@ type AuxGraphBuilder struct {
 }
 
 // srcCand is one admitted candidate of a source, in Ĝ insertion order: the
-// virtual edge and its chain. The eager refinement works off this snapshot
-// so it never reads the concurrently growing aux graph.
+// virtual edge and its chain.
 type srcCand struct {
 	edge graph.EdgeID
 	sc   *chain.ServiceChain
@@ -198,7 +163,6 @@ type srcCand struct {
 type eagerRun struct {
 	started  time.Time
 	forest   *Forest
-	dur      time.Duration
 	finished time.Time
 }
 
@@ -210,23 +174,21 @@ type auxCand struct {
 	rank   float64
 }
 
-// NewAuxGraphBuilder validates the request and builds Ĝ's skeleton. It
-// requires chainLen >= 1: with no chains to stream, the problem is a plain
-// Steiner forest and SOFDACtx solves it directly. ctx scopes the builder's
-// own oracle work (destination-tree prewarming) to the embedding; nil is
-// normalized like every other Ctx entry point.
+// NewAuxGraphBuilder validates the request and builds Ĝ's skeleton. With
+// chainLen 0 the skeleton already wires every source to its duplicate, so
+// no candidates are fed and Complete solves the plain Steiner forest. ctx
+// scopes the builder's own oracle work (destination-tree prewarming) to
+// the embedding; nil is normalized like every other Ctx entry point.
 func NewAuxGraphBuilder(ctx context.Context, g *graph.Graph, req Request, opts *Options) (*AuxGraphBuilder, error) {
 	if err := req.Validate(g); err != nil {
 		return nil, err
-	}
-	if req.ChainLen < 1 {
-		return nil, errors.New("core: aux-graph builder requires chainLen >= 1 (chainLen 0 degenerates to a Steiner forest)")
 	}
 	o := optsOrDefault(opts)
 	b := &AuxGraphBuilder{g: g, req: req, o: o, ctx: ctxOrBackground(ctx)}
 	b.vms = o.vms(g)
 	b.oracle = o.oracle(g)
 	b.aux = newAuxSkeleton(g, req.Sources, b.vms, req.ChainLen)
+	b.srcCands = make(map[graph.NodeID][]srcCand, len(b.aux.srcDup))
 	return b, nil
 }
 
@@ -253,6 +215,13 @@ func (b *AuxGraphBuilder) ensureDestTrees() {
 		return
 	}
 	b.destWarmed = b.oracle.WarmTrees(b.ctx, b.req.Dests)
+	b.pinDestTrees()
+}
+
+// pinDestTrees fetches the per-destination trees from the oracle one by
+// one. The inline refinement uses it directly when neither pruning nor
+// eager mode pinned them up front, so the centralized path never warms.
+func (b *AuxGraphBuilder) pinDestTrees() {
 	b.destTrees = make(map[graph.NodeID]*graph.ShortestPaths, len(b.req.Dests))
 	for _, d := range b.req.Dests {
 		b.destTrees[d] = b.oracle.Tree(d)
@@ -267,16 +236,15 @@ func (b *AuxGraphBuilder) ensureDestTrees() {
 // the rest of the stream; Complete consumes the precomputed forests
 // instead of recomputing them. The eager runs read only the immutable
 // request, the concurrency-safe oracle, and a per-source candidate
-// snapshot, so they commute with ongoing AddCandidate calls — and the
-// forests they produce are the ones the inline refinement would build,
-// so the final cost is bit-identical.
+// snapshot, so they commute with ongoing AddCandidate calls — and they
+// run the same sourceForest the inline refinement runs, so the final cost
+// is bit-identical.
 func (b *AuxGraphBuilder) EnableEager() {
 	if b.eager {
 		return
 	}
 	b.eager = true
 	b.expect = make(map[graph.NodeID]int)
-	b.srcCands = make(map[graph.NodeID][]srcCand)
 	b.eagerRuns = make(map[graph.NodeID]*eagerRun)
 	b.ensureDestTrees()
 }
@@ -327,26 +295,26 @@ func (b *AuxGraphBuilder) launchEager(s graph.NodeID) {
 	b.eagerWG.Add(1)
 	go func() {
 		defer b.eagerWG.Done()
-		run.forest = b.eagerForest(cands)
+		run.forest = b.sourceForest(cands)
 		run.finished = time.Now()
-		run.dur = run.finished.Sub(run.started)
 	}()
 }
 
-// eagerForest is one source's refinement computed off the aux graph: pick
-// the winning candidate, KMB it against the destinations over the real
-// network, and assemble the forest through a shim aux that carries only
-// the winner's chain entry. For chainLen >= 1 assembly consults the aux
-// graph solely to classify edges and map the virtual winner back to its
-// chain, so the shim reproduces the full-aux result exactly.
-func (b *AuxGraphBuilder) eagerForest(cands []srcCand) *Forest {
+// sourceForest is one source's single-tree refinement, computed off the
+// aux graph: pick the winning candidate, KMB it against the destinations
+// over the real network, and assemble the forest through a shim aux that
+// carries only the winner's chain entry. For chainLen >= 1 assembly
+// consults the aux graph solely to classify edges and map the virtual
+// winner back to its chain, so the shim reproduces the full-aux result
+// exactly. nil when the source has no feasible single-chain tree. Both
+// the inline refinement and the eager runs call it.
+func (b *AuxGraphBuilder) sourceForest(cands []srcCand) *Forest {
 	edges, winner := singleTreeEdges(b.g, b.oracle, cands, b.req, b.destTrees)
 	if edges == nil {
 		return nil
 	}
 	shim := &auxGraph{
 		chains:    map[graph.EdgeID]*chain.ServiceChain{winner.edge: winner.sc},
-		origNodes: b.aux.origNodes,
 		origEdges: b.aux.origEdges,
 	}
 	f, err := assembleForest(b.g, b.oracle, b.vms, b.req, shim, edges)
@@ -384,8 +352,8 @@ func (b *AuxGraphBuilder) dominated(s, u graph.NodeID, w, rank float64) bool {
 		// dist(u′,u) comes from the oracle's cached tree rooted at u′; an
 		// unreachable u yields +Inf and the strict inequality keeps the
 		// candidate. dist(u,u) == 0 keeps duplicate pairs too (equal cost
-		// never strictly exceeds), matching the batch builder, which adds
-		// duplicate edges verbatim.
+		// never strictly exceeds), so duplicates enter Ĝ as parallel
+		// edges exactly as they do unpruned.
 		if w > c.cost+b.oracle.Tree(c.lastVM).Dist[u] && rank > c.rank {
 			return true
 		}
@@ -394,10 +362,10 @@ func (b *AuxGraphBuilder) dominated(s, u graph.NodeID, w, rank float64) bool {
 }
 
 // AddCandidate feeds one candidate chain into Ĝ. It reports whether the
-// chain was admitted: nil chains and wrong-length chains are skipped (as
-// the batch path skips them), and with pruning enabled a dominated
-// candidate is rejected without allocating any aux-graph state. Chains
-// from sources or to VMs outside the request are an error.
+// chain was admitted: nil chains and wrong-length chains are skipped, and
+// with pruning enabled a dominated candidate is rejected without
+// allocating any aux-graph state. Chains from sources or to VMs outside
+// the request are an error.
 func (b *AuxGraphBuilder) AddCandidate(sc *chain.ServiceChain) (bool, error) {
 	if sc == nil || len(sc.VMs) != b.req.ChainLen {
 		return false, nil
@@ -421,9 +389,7 @@ func (b *AuxGraphBuilder) AddCandidate(sc *chain.ServiceChain) (bool, error) {
 	}
 	id := b.aux.g.MustAddEdge(sd, ud, w)
 	b.aux.chains[id] = sc
-	if b.eager {
-		b.srcCands[sc.Source] = append(b.srcCands[sc.Source], srcCand{edge: id, sc: sc})
-	}
+	b.srcCands[sc.Source] = append(b.srcCands[sc.Source], srcCand{edge: id, sc: sc})
 	b.added++
 	return true, nil
 }
@@ -434,229 +400,130 @@ func (b *AuxGraphBuilder) Added() int { return b.added }
 // Pruned returns the number of candidates rejected as dominated.
 func (b *AuxGraphBuilder) Pruned() int { return b.pruned }
 
-// Complete runs the shared tail of Algorithm 2 (Steiner phase, forest
-// assembly, per-source refinement) over the incrementally built Ĝ. With
-// eager mode armed, the per-source refinement consumes the forests the
-// eager runs precomputed — waiting for stragglers only after the Ĝ
-// Steiner phase, so late runs still overlap it — and records the overlap
-// accounting EagerOverlap reports.
-func (b *AuxGraphBuilder) Complete(ctx context.Context) (*Forest, error) {
-	ctx = ctxOrBackground(ctx)
-	if b.added == 0 {
-		b.eagerWG.Wait()
-		return nil, errors.New("core: no feasible candidate service chain supplied")
-	}
-	var refined func(graph.NodeID) (*Forest, bool)
-	var demand time.Time
-	if b.eager {
-		var waitOnce sync.Once
-		refined = func(s graph.NodeID) (*Forest, bool) {
-			// The refinement loop's first call marks the moment the
-			// completion phase demands the eager results: everything a run
-			// did before this instant overlapped the stream tail and the Ĝ
-			// Steiner phase instead of serializing after them.
-			waitOnce.Do(func() {
-				demand = time.Now()
-				b.eagerWG.Wait()
-			})
-			run, ok := b.eagerRuns[s]
-			if !ok {
-				return nil, false
-			}
-			return run.forest, true
-		}
-	}
-	f, err := completeForestWith(ctx, b.g, b.oracle, b.vms, b.req, b.aux, b.o.Parallelism, refined)
-	if b.eager {
-		b.eagerWG.Wait()
-		b.earlyRuns, b.earlyNS = 0, 0
-		if demand.IsZero() {
-			demand = time.Now()
-		}
-		for _, run := range b.eagerRuns {
-			if !run.finished.After(demand) {
-				// Finished before the completion phase asked: this closure
-				// never blocked the pipeline.
-				b.earlyRuns++
-			}
-			end := run.finished
-			if demand.Before(end) {
-				end = demand
-			}
-			if lead := end.Sub(run.started); lead > 0 {
-				b.earlyNS += int64(lead)
-			}
-		}
-	}
-	return f, err
-}
-
-// SOFDAFromCandidates runs Algorithm 2's Steiner, conflict-resolution, and
-// assembly phases over externally supplied candidate chains. It is the
-// leader-side entry point of the distributed implementation (Section VI);
-// SOFDA itself is equivalent to computing all |S|·|M| candidates centrally
-// and calling this.
-func SOFDAFromCandidates(g *graph.Graph, req Request, opts *Options, candidates []*chain.ServiceChain) (*Forest, error) {
-	//sofvet:ignore ctxflow compat wrapper kept for pre-ctx callers; cancellation lives in SOFDAFromCandidatesCtx
-	return SOFDAFromCandidatesCtx(context.Background(), g, req, opts, candidates)
-}
-
-// SOFDAFromCandidatesCtx is SOFDAFromCandidates with cancellation: ctx is
-// observed between the Steiner, assembly, and per-source refinement phases.
-func SOFDAFromCandidatesCtx(ctx context.Context, g *graph.Graph, req Request, opts *Options, candidates []*chain.ServiceChain) (*Forest, error) {
-	ctx = ctxOrBackground(ctx)
-	if req.ChainLen == 0 {
-		if err := req.Validate(g); err != nil {
-			return nil, err
-		}
-		return SOFDACtx(ctx, g, req, opts)
-	}
-	b, err := NewAuxGraphBuilder(ctx, g, req, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, sc := range candidates {
-		if _, err := b.AddCandidate(sc); err != nil {
-			return nil, err
-		}
-	}
-	return b.Complete(ctx)
-}
-
-// completeForest runs the shared tail of Algorithm 2 over a built Ĝ: the
-// Steiner phase, forest assembly, and the per-source single-tree
-// refinement. Both the centralized SOFDA and the distributed leader end
-// here, which is what makes their costs provably identical on equal Ĝ.
+// Complete runs the tail of Algorithm 2 over the built Ĝ: the Steiner
+// phase, forest assembly, and the per-source single-tree refinement. ctx
+// is observed between the phases and between sources.
 //
 // The Steiner phase over Ĝ fans its per-terminal closure passes out over
-// par workers (Ĝ is a private clone, so its trees cannot come from the
-// session oracle); every KMB over the real network and the refinement's
-// destination trees go through the oracle instead, staying warm across a
-// request stream.
-func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, par int) (*Forest, error) {
-	return completeForestWith(ctx, g, oracle, vms, req, aux, par, nil)
-}
-
-// completeForestWith is completeForest with an optional refinement
-// shortcut: when refined is non-nil and returns (f, true) for a source,
-// f is that source's precomputed single-tree forest (nil when the source
-// has none) and the inline computation is skipped. The eager builder
-// supplies forests computed by the identical code path, so the shortcut
-// changes wall-clock only, never the result.
-func completeForestWith(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, par int, refined func(graph.NodeID) (*Forest, bool)) (*Forest, error) {
-	terminals := append([]graph.NodeID{aux.sHat}, req.Dests...)
-	tree, err := steiner.KMBWith(aux.g, terminals, &steiner.KMBOptions{Parallelism: resolvePar(par)})
+// Options.Parallelism workers (Ĝ is a private clone, so its trees cannot
+// come from the session oracle); every KMB over the real network and the
+// refinement's destination trees go through the oracle instead, staying
+// warm across a request stream.
+//
+// Refinement: the KMB tree on Ĝ is one ρST-approximate Steiner tree; any
+// other feasible tree of Ĝ is equally admissible. For each source,
+// evaluate the single-chain tree built from its cheapest candidate chain
+// (the Ĝ tree that uses exactly one virtual edge) and keep the cheapest
+// assembled forest. This keeps the 3ρST guarantee — the KMB candidate is
+// never discarded for a worse one — while shaving the 2-approximation
+// noise on instances where one tree is optimal. With eager mode armed the
+// refinement consumes the forests the eager runs precomputed — waiting
+// for stragglers only after the Ĝ Steiner phase, so late runs still
+// overlap it — and records the overlap accounting EagerOverlap reports.
+// With chainLen 0 there is nothing to refine.
+func (b *AuxGraphBuilder) Complete(ctx context.Context) (*Forest, error) {
+	ctx = ctxOrBackground(ctx)
+	// demand marks the moment the refinement loop asks for the eager
+	// results: everything a run did before it overlapped the stream tail
+	// and the Ĝ Steiner phase instead of serializing after them.
+	var demand time.Time
+	if b.eager {
+		defer func() { b.settleEager(demand) }()
+	}
+	if b.req.ChainLen > 0 && b.added == 0 {
+		// Callers classify infeasible requests by the "no feasible" text.
+		return nil, errors.New("core: no feasible candidate service chain for any (source, last VM) pair")
+	}
+	terminals := append([]graph.NodeID{b.aux.sHat}, b.req.Dests...)
+	tree, err := steiner.KMBWith(b.aux.g, terminals, &steiner.KMBOptions{Parallelism: resolvePar(b.o.Parallelism)})
 	if err != nil {
 		return nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	best, err := assembleForest(g, oracle, vms, req, aux, tree.Edges)
-	if err != nil {
-		return nil, err
+	best, err := assembleForest(b.g, b.oracle, b.vms, b.req, b.aux, tree.Edges)
+	if err != nil || b.req.ChainLen == 0 {
+		return best, err
 	}
-	if req.ChainLen == 0 {
-		return best, nil
+	if b.eager {
+		demand = time.Now()
+		b.eagerWG.Wait()
 	}
-	// Refinement: the KMB tree on Ĝ is one ρST-approximate Steiner tree;
-	// any other feasible tree of Ĝ is equally admissible. For each source,
-	// evaluate the single-chain tree built from its cheapest candidate
-	// chain (the Ĝ tree that uses exactly one virtual edge) and keep the
-	// cheapest assembled forest. This keeps the 3ρST guarantee — the KMB
-	// candidate is never discarded for a worse one — while shaving the
-	// 2-approximation noise on instances where one tree is optimal.
-	var destTrees map[graph.NodeID]*graph.ShortestPaths
-	for _, s := range req.Sources {
+	if b.destTrees == nil {
+		b.pinDestTrees()
+	}
+	for _, s := range b.req.Sources {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var f *Forest
-		if refined != nil {
-			var ok bool
-			if f, ok = refined(s); !ok {
-				f = nil
-			} else if f == nil {
-				continue
-			}
+		if run, ok := b.eagerRuns[s]; ok {
+			f = run.forest
+		} else {
+			f = b.sourceForest(b.srcCands[s])
 		}
-		if f == nil {
-			if destTrees == nil {
-				destTrees = make(map[graph.NodeID]*graph.ShortestPaths, len(req.Dests))
-				for _, d := range req.Dests {
-					destTrees[d] = oracle.Tree(d)
-				}
-			}
-			cand := bestSingleTree(g, oracle, aux, s, req, destTrees)
-			if cand == nil {
-				continue
-			}
-			var err error
-			f, err = assembleForest(g, oracle, vms, req, aux, cand)
-			if err != nil {
-				continue
-			}
-		}
-		if f.TotalCost() < best.TotalCost() {
+		if f != nil && f.TotalCost() < best.TotalCost() {
 			best = f
 		}
 	}
 	return best, nil
 }
 
-// isReal reports whether n is a node of the original network.
-func (a *auxGraph) isReal(n graph.NodeID) bool { return int(n) < a.origNodes }
-
-// isRealEdge reports whether e is an edge of the original network.
-func (a *auxGraph) isRealEdge(e graph.EdgeID) bool { return int(e) < a.origEdges }
-
-// SOFDA is Algorithm 2: the 3ρST-approximation for the general SOF problem
-// with multiple sources. It builds Ĝ, extracts a Steiner tree spanning ŝ
-// and all destinations, materializes the selected candidate chains as
-// walks (resolving VNF conflicts per Procedure 4), and attaches the
-// tree's real-edge components to the walks' last VMs.
-func SOFDA(g *graph.Graph, req Request, opts *Options) (*Forest, error) {
-	//sofvet:ignore ctxflow compat wrapper kept for pre-ctx callers; cancellation lives in SOFDACtx
-	return SOFDACtx(context.Background(), g, req, opts)
+// settleEager waits out every eager run and fills the overlap accounting
+// against the refinement's demand point (now, when Complete returned
+// before reaching the refinement).
+func (b *AuxGraphBuilder) settleEager(demand time.Time) {
+	b.eagerWG.Wait()
+	b.earlyRuns, b.earlyNS = 0, 0
+	if demand.IsZero() {
+		demand = time.Now()
+	}
+	for _, run := range b.eagerRuns {
+		if !run.finished.After(demand) {
+			// Finished before the completion phase asked: this closure
+			// never blocked the pipeline.
+			b.earlyRuns++
+		}
+		end := run.finished
+		if demand.Before(end) {
+			end = demand
+		}
+		if lead := end.Sub(run.started); lead > 0 {
+			b.earlyNS += int64(lead)
+		}
+	}
 }
 
-// SOFDACtx is SOFDA with cancellation and concurrent candidate generation:
-// the |S|·|M| candidate chains of Procedure 3 are computed on a worker
-// pool bounded by opts.Parallelism, and ctx is observed throughout.
+// SOFDACtx is Algorithm 2: the 3ρST-approximation for the general SOF
+// problem with multiple sources. It builds Ĝ, extracts a Steiner tree
+// spanning ŝ and all destinations, materializes the selected candidate
+// chains as walks (resolving VNF conflicts per Procedure 4), and attaches
+// the tree's real-edge components to the walks' last VMs. The |S|·|M|
+// candidate chains of Procedure 3 are computed on a worker pool bounded by
+// opts.Parallelism; infeasible pairs (unreachable or too few VMs) are
+// skipped. ctx is observed throughout.
 func SOFDACtx(ctx context.Context, g *graph.Graph, req Request, opts *Options) (*Forest, error) {
 	ctx = ctxOrBackground(ctx)
-	if err := req.Validate(g); err != nil {
-		return nil, err
-	}
-	o := optsOrDefault(opts)
-	vms := o.vms(g)
-	oracle := o.oracle(g)
-
-	aux, err := buildAuxGraph(ctx, g, oracle, req.Sources, vms, req.ChainLen, o.Parallelism)
+	b, err := NewAuxGraphBuilder(ctx, g, req, opts)
 	if err != nil {
 		return nil, err
 	}
-	return completeForest(ctx, g, oracle, vms, req, aux, o.Parallelism)
-}
-
-// bestSingleTree returns Ĝ tree edges for the cheapest single-chain
-// solution rooted at source s: its best virtual edge (v̂,û) plus a KMB tree
-// over {u} ∪ dests, or nil when infeasible. Candidates are ranked by chain
-// cost + the metric-closure MST over {u} ∪ dests (KMB's own upper bound),
-// and only the winner gets a full KMB run.
-func bestSingleTree(g *graph.Graph, oracle *chain.Oracle, aux *auxGraph, s graph.NodeID, req Request, destTrees map[graph.NodeID]*graph.ShortestPaths) []graph.EdgeID {
-	sHatDup, ok := aux.srcDup[s]
-	if !ok {
-		return nil
-	}
-	var cands []srcCand
-	for _, a := range aux.g.Adj(sHatDup) {
-		if sc, ok := aux.chains[a.Edge]; ok {
-			cands = append(cands, srcCand{edge: a.Edge, sc: sc})
+	if req.ChainLen > 0 {
+		results, err := b.oracle.Chains(ctx, b.vms, chain.Pairs(req.Sources, b.vms), req.ChainLen, b.o.Parallelism)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range results {
+			if r.Err != nil {
+				continue
+			}
+			if _, err := b.AddCandidate(r.Chain); err != nil {
+				return nil, err
+			}
 		}
 	}
-	edges, _ := singleTreeEdges(g, oracle, cands, req, destTrees)
-	return edges
+	return b.Complete(ctx)
 }
 
 // singleTreeEdges ranks a source's candidates — in their Ĝ insertion
@@ -744,7 +611,7 @@ func assembleForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, re
 	var anchors []anchorInfo
 	seenAnchor := make(map[graph.NodeID]bool)
 	for _, id := range treeEdges {
-		if aux.isRealEdge(id) {
+		if int(id) < aux.origEdges {
 			realEdges = append(realEdges, id)
 			continue
 		}
@@ -757,8 +624,8 @@ func assembleForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, re
 		}
 		// Zero-cost structural edges (ŝ–v̂, û–u, and for chainLen==0 the
 		// v̂–v edges). The v̂–v edges identify source anchors.
-		e := aux.g.Edge(id)
 		if req.ChainLen == 0 {
+			e := aux.g.Edge(id)
 			for s, d := range aux.srcDup {
 				if (e.U == d && e.V == s) || (e.V == d && e.U == s) {
 					if !seenAnchor[s] {

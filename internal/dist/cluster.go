@@ -2,13 +2,13 @@
 // the network is split across several SDN controller domains, each domain
 // generates candidate service chains for the sources it owns with its own
 // chain oracle (private Dijkstra cache, private worker pool), and a leader
-// merges the per-domain candidates and completes the forest through
-// core.SOFDAFromCandidates.
+// merges the per-domain candidates into a core.AuxGraphBuilder and
+// completes the forest from it.
 //
 // Because every domain answers its queries with the same deterministic
 // k-stroll reduction the centralized solver uses, and the leader restores
 // the centralized candidate order before completion, Cluster.SOFDA returns
-// a forest whose cost equals core.SOFDA's on the same instance — the
+// a forest whose cost equals core.SOFDACtx's on the same instance — the
 // distribution changes where the work runs, not what is computed.
 //
 // The domain boundary is a real interface: the leader talks to domains
@@ -74,12 +74,6 @@ type Config struct {
 	//
 	// Deprecated: Streaming is ignored; nothing reads it.
 	Streaming bool
-	// DisablePruning keeps dominated candidates: every feasible candidate
-	// allocates aux-graph state. The forest cost is the same either way
-	// (the prune rule is cost-safe by construction); the switch exists for
-	// the equivalence tests and for measuring the pruning effect in
-	// isolation.
-	DisablePruning bool
 	// EagerClosure overlaps the Steiner phase with the gather: the moment
 	// every candidate of a source has spliced out of the reorder buffer,
 	// the leader starts that source's single-tree refinement
@@ -215,9 +209,9 @@ func (c *Cluster) candidateRequest(epoch, digest uint64, chainLen, parallelism i
 
 // SOFDA runs the distributed Algorithm 2: each domain generates candidate
 // chains for the (source, last VM) pairs whose source it owns, the leader
-// merges them in centralized order and completes the forest with
-// core.SOFDAFromCandidatesCtx. The returned forest's cost equals the
-// centralized core.SOFDA cost on the same graph, request, and options —
+// merges them in centralized order into a pruning core.AuxGraphBuilder and
+// completes the forest from it. The returned forest's cost equals the
+// centralized core.SOFDACtx cost on the same graph, request, and options —
 // also when domains fail and the fallback answers for them, because the
 // fallback runs the identical deterministic reduction.
 func (c *Cluster) SOFDA(ctx context.Context, req core.Request, opts Options) (*core.Forest, error) {

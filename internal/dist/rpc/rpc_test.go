@@ -67,7 +67,7 @@ func startDomains(t testing.TB, n int, build func(i int) *topology.Network) []st
 func TestRPCEquivalenceMatrix(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		network, req, opts := softLayerInstance(seed)
-		central, err := core.SOFDA(network.G, req, opts)
+		central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 		if err != nil {
 			t.Fatalf("seed %d: centralized: %v", seed, err)
 		}
@@ -117,7 +117,7 @@ func TestRPCEquivalenceMatrix(t *testing.T) {
 // between exchanges, and costs stay pinned to the centralized result.
 func TestRPCStreamConnectionReuse(t *testing.T) {
 	network, req, opts := softLayerInstance(7)
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRPCRepricedLeaderFallsBack(t *testing.T) {
 	for e := 0; e < network.G.NumEdges(); e++ {
 		network.G.SetEdgeCost(graph.EdgeID(e), 1+rng.Float64()*20)
 	}
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestRPCRepricedLeaderFallsBack(t *testing.T) {
 // on the wrong graph.
 func TestRPCTopologyDivergenceFallsBack(t *testing.T) {
 	network, req, opts := softLayerInstance(42)
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestDomainServerExpiredTimeout(t *testing.T) {
 // fallback and match the centralized solve under its own pricing.
 func TestRPCSourceSetupMismatchRefused(t *testing.T) {
 	network, req, opts := softLayerInstance(7)
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestDomainServerGraphMismatch(t *testing.T) {
 // papered over.
 func TestRPCEpochDriftOverIdenticalGraphStaysDistributed(t *testing.T) {
 	network, req, opts := softLayerInstance(7)
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +602,7 @@ func TestRPCMalformedRequestKeepsServerAlive(t *testing.T) {
 // the centralized cost.
 func TestRPCServerClosesConnWithoutMagic(t *testing.T) {
 	network, req, opts := softLayerInstance(7)
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,7 @@ func (c *Cluster) gather(ctx context.Context, req core.Request, o *core.Options,
 	if err != nil {
 		return nil, err
 	}
-	if !c.cfg.DisablePruning {
-		builder.EnablePruning()
-	}
+	builder.EnablePruning()
 	if c.cfg.EagerClosure {
 		builder.EnableEager()
 		// Per-source pair counts (with source multiplicity): a source's
@@ -174,9 +172,6 @@ func (c *Cluster) gather(ctx context.Context, req core.Request, o *core.Options,
 		c.streamOverlapNS.Add(int64(time.Since(firstFeed)))
 	}
 	c.streamPruned.Add(uint64(builder.Pruned()))
-	if builder.Added() == 0 {
-		return nil, fmt.Errorf("dist: no domain produced a feasible candidate chain")
-	}
 	f, err := builder.Complete(ctx)
 	if c.cfg.EagerClosure {
 		closures, overlapNS := builder.EagerOverlap()

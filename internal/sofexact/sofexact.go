@@ -36,8 +36,6 @@ type Options struct {
 	VMs []graph.NodeID
 	// MaxBranchNodes bounds the branch-and-bound tree (default 10000).
 	MaxBranchNodes int
-	// SourceSetupCost charges each used source its node cost (Appendix D).
-	SourceSetupCost bool
 	// NoPrime disables seeding the incumbent with SOFDA's feasible
 	// solution (priming only strengthens pruning; disable for tests that
 	// must exercise the raw search).
@@ -73,7 +71,7 @@ func (l *layered) id(v graph.NodeID, layer int) int { return int(v) + layer*l.n 
 // arc order determines branch order downstream, so iterating a map here
 // would make the search tree (though never the optimal cost) depend on
 // Go's randomized map order.
-func buildLayered(g *graph.Graph, sources []graph.NodeID, vms []graph.NodeID, chainLen int, srcCost bool) *layered {
+func buildLayered(g *graph.Graph, sources []graph.NodeID, vms []graph.NodeID, chainLen int) *layered {
 	n := g.NumNodes()
 	levels := chainLen + 1
 	l := &layered{
@@ -107,11 +105,7 @@ func buildLayered(g *graph.Graph, sources []graph.NodeID, vms []graph.NodeID, ch
 			continue
 		}
 		seen[s] = true
-		c := 0.0
-		if srcCost {
-			c = g.NodeCost(s)
-		}
-		addArc(arc{from: l.root, to: l.id(s, 0), cost: c, edge: graph.NoEdge, enableVM: graph.None})
+		addArc(arc{from: l.root, to: l.id(s, 0), edge: graph.NoEdge, enableVM: graph.None})
 	}
 	l.in = make([][]int32, l.nodes)
 	for i, a := range l.arcs {
@@ -166,7 +160,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, req core.Request, opts *Optio
 		}
 	}
 	vmList = uniq
-	l := buildLayered(g, req.Sources, vmList, req.ChainLen, o.SourceSetupCost)
+	l := buildLayered(g, req.Sources, vmList, req.ChainLen)
 
 	// Terminals: (d, |C|) deduped, plus the root.
 	termIdx := make(map[int]int)
@@ -193,7 +187,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, req core.Request, opts *Optio
 	// optimal and is returned.
 	var primed *core.Forest
 	if !o.NoPrime {
-		if f, err := core.SOFDA(g, req, &core.Options{VMs: vmList}); err == nil {
+		if f, err := core.SOFDACtx(ctx, g, req, &core.Options{VMs: vmList}); err == nil {
 			primed = f
 			bestCost = f.TotalCost()
 		}

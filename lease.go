@@ -19,10 +19,9 @@ package sof
 // edge several times and overshoot the mask threshold): a footprint that
 // does not fit is rejected with ErrCapacityExceeded and no state changes.
 //
-// Admission control composes: the static WithAdmissionThreshold hook runs
-// first, then WithAdaptiveAdmission — Lukovszki & Schmid's competitive
-// online rule, a threshold exponential in current utilization — then the
-// capacity reservation.
+// Admission control is WithAdaptiveAdmission — Lukovszki & Schmid's
+// competitive online rule, a threshold exponential in current utilization
+// — checked under the session lock just before the capacity reservation.
 
 import (
 	"container/heap"
@@ -176,9 +175,9 @@ func WithDemand(d float64) Option {
 	}
 }
 
-// WithAdaptiveAdmission replaces the static admission constant with
-// Lukovszki & Schmid's competitive online rule: a request is admitted only
-// if the utilization-exponential price of its footprint,
+// WithAdaptiveAdmission arms Lukovszki & Schmid's competitive online
+// admission rule: a request is admitted only if the utilization-exponential
+// price of its footprint,
 //
 //	Σ_{r ∈ footprint} (mu^{u(r)} − 1),
 //
@@ -235,9 +234,9 @@ func aggregateDemand(edges []graph.EdgeID, demand float64) map[graph.EdgeID]floa
 }
 
 // admitAndLease prices, reserves, and leases a freshly embedded forest.
-// Called from embed after the algorithm and the static admission hook have
-// both passed. On any error the trackers, masks, and lease table are
-// exactly as before the call.
+// Called from embed after the algorithm has produced the forest. On any
+// error the trackers, masks, and lease table are exactly as before the
+// call.
 func (s *Solver) admitAndLease(out *Forest, req Request) error {
 	cs := s.capacity
 	fp := out.f.Footprint()
@@ -570,6 +569,11 @@ func (s *Solver) resumeLease(f *Forest) {
 // online simulator calls this once per step; explicit rather than implicit
 // per-embed, because a repricing pass invalidates the session's warm
 // shortest-path state and the caller owns that trade-off.
+//
+// Reprice writes the costs in place, one element at a time, so it must
+// not overlap an in-flight embed: an embed running beside it can read a
+// half-repriced network. Call it between embeds until costs are published
+// as one atomic snapshot per epoch.
 func (s *Solver) Reprice() {
 	cs := s.capacity
 	if cs == nil {
