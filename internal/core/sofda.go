@@ -194,8 +194,8 @@ func NewAuxGraphBuilder(ctx context.Context, g *graph.Graph, req Request, opts *
 
 // EnablePruning arms early dominated-candidate rejection. It precomputes
 // the per-destination shortest-path trees the rule's mst term needs —
-// trees the completion phase's refinement pulls from the same oracle
-// anyway, so under a session oracle the work is paid once.
+// trees the completion phase pulls from the same oracle anyway (for the
+// Steiner phase over Ĝ and the refinement), so the work is paid once.
 func (b *AuxGraphBuilder) EnablePruning() {
 	if b.pruning {
 		return
@@ -219,8 +219,8 @@ func (b *AuxGraphBuilder) ensureDestTrees() {
 }
 
 // pinDestTrees fetches the per-destination trees from the oracle one by
-// one. The inline refinement uses it directly when neither pruning nor
-// eager mode pinned them up front, so the centralized path never warms.
+// one. Complete uses it directly when neither pruning nor eager mode
+// pinned them up front, so the centralized path never warms.
 func (b *AuxGraphBuilder) pinDestTrees() {
 	b.destTrees = make(map[graph.NodeID]*graph.ShortestPaths, len(b.req.Dests))
 	for _, d := range b.req.Dests {
@@ -404,11 +404,13 @@ func (b *AuxGraphBuilder) Pruned() int { return b.pruned }
 // phase, forest assembly, and the per-source single-tree refinement. ctx
 // is observed between the phases and between sources.
 //
-// The Steiner phase over Ĝ fans its per-terminal closure passes out over
-// Options.Parallelism workers (Ĝ is a private clone, so its trees cannot
-// come from the session oracle); every KMB over the real network and the
-// refinement's destination trees go through the oracle instead, staying
-// warm across a request stream.
+// The destinations' trees on the real network are pinned from the oracle
+// first (for chainLen >= 1). The Steiner phase over Ĝ (a private clone no oracle covers) takes
+// its closure trees from an auxClosure, which derives each destination's
+// Ĝ tree from its G tree and runs Dijkstra on Ĝ only for ŝ and for the
+// destinations a route through ŝ undercuts. Every KMB over the real
+// network and the refinement read the oracle directly, staying warm
+// across a request stream.
 //
 // Refinement: the KMB tree on Ĝ is one ρST-approximate Steiner tree; any
 // other feasible tree of Ĝ is equally admissible. For each source,
@@ -434,8 +436,15 @@ func (b *AuxGraphBuilder) Complete(ctx context.Context) (*Forest, error) {
 		// Callers classify infeasible requests by the "no feasible" text.
 		return nil, errors.New("core: no feasible candidate service chain for any (source, last VM) pair")
 	}
+	if b.destTrees == nil && b.req.ChainLen > 0 {
+		// With chainLen 0 ŝ reaches every source at zero cost, so no
+		// destination's G tree can stand in for its Ĝ tree (see
+		// auxClosure) and none is pinned.
+		b.pinDestTrees()
+	}
 	terminals := append([]graph.NodeID{b.aux.sHat}, b.req.Dests...)
-	tree, err := steiner.KMBWith(b.aux.g, terminals, &steiner.KMBOptions{Parallelism: resolvePar(b.o.Parallelism)})
+	closure := newAuxClosure(b.aux, b.req.Dests, b.destTrees)
+	tree, err := steiner.KMBWith(b.aux.g, terminals, &steiner.KMBOptions{Provider: closure})
 	if err != nil {
 		return nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
 	}
@@ -449,9 +458,6 @@ func (b *AuxGraphBuilder) Complete(ctx context.Context) (*Forest, error) {
 	if b.eager {
 		demand = time.Now()
 		b.eagerWG.Wait()
-	}
-	if b.destTrees == nil {
-		b.pinDestTrees()
 	}
 	for _, s := range b.req.Sources {
 		if err := ctx.Err(); err != nil {

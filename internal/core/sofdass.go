@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"sof/internal/chain"
 	"sof/internal/graph"
@@ -52,8 +51,9 @@ type Options struct {
 	// Oracle, when non-nil, is used instead of constructing a throwaway
 	// oracle per call. It must be an oracle over the same graph the
 	// algorithm runs on; long-lived callers (sof.Solver, the distributed
-	// domains) share one so Dijkstra trees computed for earlier requests
-	// stay warm across a request stream (epoch-keyed, see chain.Oracle).
+	// domains and leader) share one so Dijkstra trees computed for
+	// earlier requests stay warm across a request stream (epoch-keyed,
+	// see chain.Oracle).
 	Oracle *chain.Oracle
 	// VMs restricts the candidate VM set; all VMs of the graph when nil.
 	VMs []graph.NodeID
@@ -92,15 +92,6 @@ func ctxOrBackground(ctx context.Context) context.Context {
 		return context.Background()
 	}
 	return ctx
-}
-
-// resolvePar maps Options.Parallelism's 0-means-GOMAXPROCS convention to
-// the explicit worker count steiner.KMBOptions expects.
-func resolvePar(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // SOFDASSCtx is Algorithm 1: the (2+ρST)-approximation for the

@@ -18,9 +18,14 @@
 // built). ChannelTransport keeps the domains in-process (the reference
 // implementation and test double); package dist/rpc carries the same
 // messages as framed gob over TCP so domains run as separate OS processes.
-// The leader survives transport failure: a failed stream is retried on a
-// budget for its undelivered pairs, which are then solved on a local
-// fallback oracle, so a domain crash degrades latency, never correctness.
+// The leader keeps one chain oracle for the cluster's lifetime. It is the
+// shortest-path source of every embedding whose chain options match the
+// cluster's, so the trees the completion phase reads (pruning, the Steiner
+// phase, the refinement) stay warm across a request stream and only cost
+// changes rebuild them. The same oracle is the leader's fallback: a failed
+// stream is retried on a budget for its undelivered pairs, which the
+// leader then solves itself, so a domain crash degrades latency, never
+// correctness.
 package dist
 
 import (
@@ -43,7 +48,9 @@ type Options struct {
 	// Core configures the leader's completion phase (candidate VM set,
 	// chain-oracle options, conflict resolution). For the distributed cost
 	// to match the centralized one, Core.Chain must equal the chain
-	// options the cluster was built with.
+	// options the cluster was built with; then, unless Core.Oracle is set,
+	// the completion runs on the cluster's long-lived oracle. A different
+	// Core.Chain gets a private oracle per embedding.
 	Core *core.Options
 	// Parallelism bounds each domain's candidate-generation workers:
 	// GOMAXPROCS when <= 0, sequential when 1. The bound applies per
@@ -59,8 +66,10 @@ type Config struct {
 	// a supplied transport stays the caller's to close.
 	Transport Transport
 	// Chain configures the domain oracles of an owned ChannelTransport and
-	// the leader's local fallback oracle. For the distributed cost to match
-	// the centralized one it must equal the options remote domains run.
+	// the leader's oracle, which answers for failed domains and serves
+	// every embedding whose Options.Core.Chain equals it. For the
+	// distributed cost to match the centralized one it must equal the
+	// options remote domains run.
 	Chain chain.Options
 	// RetryBudget is how many times a failed domain stream is retried
 	// before the leader falls back to its local oracle. Negative means 0.
@@ -100,10 +109,10 @@ type Cluster struct {
 	numNodes   int
 	cfg        Config
 
-	// fallback is the leader-local oracle that answers for crashed
-	// domains, created on first need: a healthy cluster never pays for it.
-	fallbackOnce sync.Once
-	fallback     *chain.Oracle
+	// oracle is the leader's long-lived chain oracle over g, built with
+	// cfg.Chain: the completion phase's shortest-path source for matching
+	// embeddings, and the fallback that answers for failed domains.
+	oracle *chain.Oracle
 
 	// memo caches the leader's topology digest per cost epoch, so each
 	// embedding's handshake stamp is an atomic load, not an O(V+E) hash.
@@ -149,6 +158,7 @@ func NewClusterWith(g *graph.Graph, numDomains int, cfg Config) *Cluster {
 		numNodes:   g.NumNodes(),
 		cfg:        cfg,
 		transport:  cfg.Transport,
+		oracle:     chain.NewOracle(g, cfg.Chain),
 	}
 	if c.transport == nil {
 		ct := NewChannelTransport(g, numDomains, cfg.Chain)
@@ -161,13 +171,14 @@ func NewClusterWith(g *graph.Graph, numDomains int, cfg Config) *Cluster {
 // NumDomains returns the number of controller domains.
 func (c *Cluster) NumDomains() int { return c.numDomains }
 
-// InvalidateCache marks every domain oracle's cached shortest-path trees
-// stale with a single cost-epoch bump on the shared graph; each domain
-// replaces exactly the trees its next queries touch. Explicit calls are
-// only needed after cost mutations that bypass the graph's setters — the
-// setters advance the epoch themselves, so in the common online/load-aware
-// loop the long-lived domain oracles stay correct (and stay warm across
-// re-pricing passes that did not change any cost) with no call at all.
+// InvalidateCache marks the cached shortest-path trees of the leader's and
+// every in-process domain's oracle stale with a single cost-epoch bump on
+// the shared graph; each oracle replaces exactly the trees its next
+// queries touch. Explicit calls are only needed after cost mutations that
+// bypass the graph's setters — the setters advance the epoch themselves,
+// so in the common online/load-aware loop the long-lived oracles stay
+// correct (and stay warm across re-pricing passes that did not change any
+// cost) with no call at all.
 // Out-of-process domains version their own graphs: the epoch+digest
 // handshake in the protocol surfaces any divergence as ErrGraphMismatch.
 func (c *Cluster) InvalidateCache() {
@@ -184,14 +195,6 @@ func (c *Cluster) domainOf(n graph.NodeID) int {
 		d = c.numDomains - 1
 	}
 	return d
-}
-
-// fallbackOracle returns the leader-local oracle, creating it on first use.
-func (c *Cluster) fallbackOracle() *chain.Oracle {
-	c.fallbackOnce.Do(func() {
-		c.fallback = chain.NewOracle(c.g, c.cfg.Chain)
-	})
-	return c.fallback
 }
 
 // candidateRequest builds the wire request for one domain's pair slice.
@@ -235,6 +238,11 @@ func (c *Cluster) SOFDA(ctx context.Context, req core.Request, opts Options) (*c
 	if opts.Core != nil {
 		copied := *opts.Core
 		o = &copied
+	}
+	// The cluster's oracle serves only the chain options it was built
+	// with; kstroll solvers are pointers, so the comparison is safe.
+	if o.Oracle == nil && o.Chain == c.cfg.Chain {
+		o.Oracle = c.oracle
 	}
 	if req.ChainLen == 0 {
 		// Degenerate Steiner forest: no chains to distribute.

@@ -273,7 +273,7 @@ func (c *Cluster) streamDomain(ctx context.Context, domainID int, req *Candidate
 			fbLocal = append(fbLocal, i)
 		}
 	}
-	results, err := c.fallbackOracle().Chains(ctx, req.VMs, fbPairs, req.ChainLen, req.Parallelism)
+	results, err := c.oracle.Chains(ctx, req.VMs, fbPairs, req.ChainLen, req.Parallelism)
 	if err != nil {
 		return err
 	}

@@ -35,11 +35,10 @@ func (p *memoProvider) Tree(n graph.NodeID) *graph.ShortestPaths {
 	return sp
 }
 
-// TestKMBWithMatchesKMB pins the provider-backed, parallel KMB against
-// the self-contained sequential KMB: identical trees (nodes, edges, and
-// cost bit-for-bit), for every provider/parallelism combination, on
-// random graphs and terminal-set sizes including the Fig. 10 regime's
-// larger sets.
+// TestKMBWithMatchesKMB pins the provider-backed KMB against the
+// self-contained KMB: identical trees (nodes, edges, and cost
+// bit-for-bit) on random graphs and terminal-set sizes including the
+// Fig. 10 regime's larger sets.
 func TestKMBWithMatchesKMB(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		g := graph.RandomConnected(graph.RandomConfig{
@@ -55,24 +54,18 @@ func TestKMBWithMatchesKMB(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d t=%d: KMB: %v", seed, nTerms, err)
 			}
-			for name, opts := range map[string]*KMBOptions{
-				"parallel":          {Parallelism: 4},
-				"provider":          {Provider: &memoProvider{g: g}},
-				"provider-parallel": {Provider: &memoProvider{g: g}, Parallelism: 4},
-			} {
-				got, err := KMBWith(g, terms, opts)
-				if err != nil {
-					t.Fatalf("seed %d t=%d %s: %v", seed, nTerms, name, err)
-				}
-				if got.Cost != want.Cost {
-					t.Fatalf("seed %d t=%d %s: cost %v != %v", seed, nTerms, name, got.Cost, want.Cost)
-				}
-				if !reflect.DeepEqual(got.Edges, want.Edges) || !reflect.DeepEqual(got.Nodes, want.Nodes) {
-					t.Fatalf("seed %d t=%d %s: tree differs from self-contained KMB", seed, nTerms, name)
-				}
-				if err := Verify(g, got, terms); err != nil {
-					t.Fatalf("seed %d t=%d %s: %v", seed, nTerms, name, err)
-				}
+			got, err := KMBWith(g, terms, &KMBOptions{Provider: &memoProvider{g: g}})
+			if err != nil {
+				t.Fatalf("seed %d t=%d: %v", seed, nTerms, err)
+			}
+			if got.Cost != want.Cost {
+				t.Fatalf("seed %d t=%d: cost %v != %v", seed, nTerms, got.Cost, want.Cost)
+			}
+			if !reflect.DeepEqual(got.Edges, want.Edges) || !reflect.DeepEqual(got.Nodes, want.Nodes) {
+				t.Fatalf("seed %d t=%d: tree differs from self-contained KMB", seed, nTerms)
+			}
+			if err := Verify(g, got, terms); err != nil {
+				t.Fatalf("seed %d t=%d: %v", seed, nTerms, err)
 			}
 		}
 	}
@@ -87,7 +80,7 @@ func TestKMBWithDisconnected(t *testing.T) {
 	}
 	g.MustAddEdge(0, 1, 1)
 	// 2 and 3 are isolated.
-	for _, opts := range []*KMBOptions{nil, {Provider: &memoProvider{g: g}}, {Parallelism: 2}} {
+	for _, opts := range []*KMBOptions{nil, {Provider: &memoProvider{g: g}}} {
 		if _, err := KMBWith(g, []graph.NodeID{0, 1, 3}, opts); err == nil {
 			t.Fatalf("opts %+v: expected disconnection error", opts)
 		}

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"sof/internal/graph"
 )
@@ -52,17 +50,12 @@ type PathProvider interface {
 }
 
 // KMBOptions tune KMBWith. The zero value (or a nil pointer) reproduces
-// the self-contained sequential KMB.
+// the self-contained KMB.
 type KMBOptions struct {
 	// Provider answers the per-terminal shortest-path queries of the
-	// metric-closure phase. When nil, KMB runs its own Dijkstras.
+	// metric-closure phase, one terminal at a time in terminal order.
+	// When nil, KMB runs its own batched Dijkstra over every terminal.
 	Provider PathProvider
-	// Parallelism is the number of concurrent per-terminal closure
-	// passes; <= 1 (including the zero value) runs sequentially. Callers
-	// with a 0-means-GOMAXPROCS convention (core.Options.Parallelism)
-	// must resolve it before passing — provider-backed calls whose trees
-	// are mostly cache hits are better off sequential.
-	Parallelism int
 }
 
 // KMB computes a Steiner tree spanning terminals with the
@@ -74,11 +67,10 @@ func KMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 	return KMBWith(g, terminals, nil)
 }
 
-// KMBWith is KMB with an injectable shortest-path provider and a
-// concurrency budget for the per-terminal closure passes. The computed
-// tree is identical to KMB's for any provider that answers with true
-// shortest-path trees, at any parallelism: the closure MST breaks ties
-// deterministically and the expansion depends only on the trees.
+// KMBWith is KMB with an injectable shortest-path provider. The computed
+// tree is identical to KMB's for any provider that answers with the trees
+// Dijkstra settles: the closure MST breaks ties deterministically and the
+// expansion depends only on the trees.
 func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
@@ -141,71 +133,17 @@ func kmb(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions, sc *scratch
 }
 
 // closureTrees resolves the shortest-path tree of every terminal, through
-// the provider when one is injected (hitting its cache) and by batched
-// Dijkstra otherwise, fanning the passes out over the configured
-// parallelism. Results are positionally aligned with terminals, so
-// concurrency cannot change anything downstream.
+// the provider when one is injected (hitting its cache) and by one batched
+// Dijkstra pass (a shared arena and CSR fetch) otherwise. Results are
+// positionally aligned with terminals.
 func closureTrees(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) []*graph.ShortestPaths {
+	if opts == nil || opts.Provider == nil {
+		return graph.DijkstraBatch(g, terminals, nil)
+	}
 	trees := make([]*graph.ShortestPaths, len(terminals))
-	var provider PathProvider
-	par := 1
-	if opts != nil {
-		provider = opts.Provider
-		if opts.Parallelism > 1 {
-			par = opts.Parallelism
-		}
+	for i, t := range terminals {
+		trees[i] = opts.Provider.Tree(t)
 	}
-	if par > len(terminals) {
-		par = len(terminals)
-	}
-	if provider == nil {
-		// Uncached path: one DijkstraBatch per worker over a contiguous
-		// chunk of terminals, each batch sharing a pooled arena and CSR
-		// pass, so a t-terminal closure costs O(par) scratch setups
-		// instead of t.
-		if par <= 1 {
-			copy(trees, graph.DijkstraBatch(g, terminals, nil))
-			return trees
-		}
-		var wg sync.WaitGroup
-		chunk := (len(terminals) + par - 1) / par
-		for lo := 0; lo < len(terminals); lo += chunk {
-			hi := lo + chunk
-			if hi > len(terminals) {
-				hi = len(terminals)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				copy(trees[lo:hi], graph.DijkstraBatch(g, terminals[lo:hi], nil))
-			}(lo, hi)
-		}
-		wg.Wait()
-		return trees
-	}
-	fetch := func(i int) { trees[i] = provider.Tree(terminals[i]) }
-	if par <= 1 {
-		for i := range terminals {
-			fetch(i)
-		}
-		return trees
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(terminals) {
-					return
-				}
-				fetch(i)
-			}
-		}()
-	}
-	wg.Wait()
 	return trees
 }
 
